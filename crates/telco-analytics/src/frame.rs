@@ -643,10 +643,6 @@ impl AnalysisPass for FramePass {
         self.builder.add(r);
     }
 
-    fn record_chunk(&mut self, chunk: &[HoRecord], _e: &Enriched) {
-        self.builder.add_chunk(chunk);
-    }
-
     // telco-lint: deny-alloc(begin)
     fn record_columns(&mut self, batch: &ColumnBatch, _e: &Enriched) {
         self.builder.add_columns(batch);

@@ -51,8 +51,8 @@ impl HofPatterns {
 }
 
 /// Streaming accumulator for [`HofPatterns`]: per (day, hour, area) HOF
-/// counts and active-sector sets. Each (day, hour) index belongs to a
-/// single study day, so day-partitioned merges touch disjoint slots.
+/// counts and active-sector sets. Merges add counts and union sets slot
+/// by slot, so they are exact at any split point.
 #[derive(Debug, Default)]
 pub struct HofPatternsPass {
     hofs: Vec<[u32; 2]>,

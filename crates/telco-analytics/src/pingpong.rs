@@ -108,8 +108,8 @@ fn restore_legs(r: &mut SnapReader) -> Result<Vec<Option<Leg>>, SnapError> {
 /// ping-pong. Records arrive timestamp-sorted by construction; merging
 /// partitions stitches pairs across the boundary by checking each UE's
 /// first handover of the later span against its last of the earlier one —
-/// exact at any split point, which is what lets the chunk-granular
-/// parallel sweep fold this pass.
+/// exact at any split point, which is what lets the span-parallel sweep
+/// fold this pass.
 ///
 /// Per-UE edges and per-manufacturer counters live in flat vectors
 /// (UE ids and the manufacturer catalog are both dense), so the hot loop

@@ -131,42 +131,15 @@ impl AnalysisPass for StudyPasses {
         }
     }
 
-    fn record_chunk(
-        &mut self,
-        chunk: &[telco_trace::record::HoRecord],
-        e: &crate::frame::Enriched,
-    ) {
-        // One tight loop per sub-pass per chunk: each accumulator's state
-        // stays hot through its own loop instead of the whole composite's
-        // working set being dragged through the cache per record.
-        self.counts.record_chunk(chunk, e);
-        self.ho_types.record_chunk(chunk, e);
-        self.durations.record_chunk(chunk, e);
-        self.districts.record_chunk(chunk, e);
-        self.population.record_chunk(chunk, e);
-        self.density.record_chunk(chunk, e);
-        self.temporal.record_chunk(chunk, e);
-        self.manufacturer.record_chunk(chunk, e);
-        self.hof_patterns.record_chunk(chunk, e);
-        self.causes.record_chunk(chunk, e);
-        self.pingpong.record_chunk(chunk, e);
-        self.vendor.record_chunk(chunk, e);
-        if let Some(frame) = &mut self.frame {
-            frame.record_chunk(chunk, e);
-        }
-        if let Some(period) = &mut self.period_frame {
-            period.record_chunk(chunk, e);
-        }
-    }
-
     // telco-lint: deny-alloc(begin)
     fn record_columns(
         &mut self,
         batch: &telco_trace::columnar::ColumnBatch,
         e: &crate::frame::Enriched,
     ) {
-        // Same rationale as `record_chunk`: one tight column scan per
-        // sub-pass keeps each accumulator's working set hot, and lets the
+        // One tight column scan per sub-pass: each accumulator's state
+        // stays hot through its own loop instead of the whole composite's
+        // working set being dragged through the cache per record, and the
         // sub-passes that read only a couple of columns skip the rest of
         // the batch entirely.
         self.counts.record_columns(batch, e);

@@ -9,48 +9,49 @@
 //! decode target of the v3 columnar trace format — so the hot passes
 //! scan struct-of-arrays column slices instead of dispatching per row.
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! - **Sequential** ([`TraceSource::for_each_columns`]): in-memory
-//!   records transpose window-by-window through one reused batch;
-//!   spilled v3 chunks decode straight into it.
-//! - **Day-parallel** (in-memory, `threads > 1`): workers claim whole
-//!   study days off a [`telco_sim::StealCursor`] and batch their day
-//!   slices through per-worker scratch.
-//! - **Chunk-parallel** (spilled, `threads > 1`): one reader thread
-//!   streams CRC-verified raw payloads into a bounded
-//!   [`FrameQueue`] (double-buffered: two slots per worker), and workers
-//!   claim ascending chunk indexes, decode privately, and run a fresh
-//!   pass per chunk. Legacy v1 streams have no chunk frames and fall
-//!   back to the sequential path.
+//! One driver serves every source and thread count. It cuts the trace
+//! into `threads` contiguous spans balanced by record count
+//! ([`TraceSource::spans`](telco_sim::TraceSource::spans)), folds each
+//! span into **one** accumulator on its own worker, merges the partials
+//! in span order, and calls `end` once. A one-span sweep runs on the
+//! calling thread, so the sequential sweep is the same code.
 //!
-//! # Determinism of the parallel merge
+//! - **In-memory** sources split by record index; each worker transposes
+//!   its span window-by-window through its own batch.
+//! - **Spilled** v2/v3 sources split at chunk granularity: each worker
+//!   opens its own reader and walks the file from the start,
+//!   CRC-checking the frames before its span without decoding them and
+//!   decoding the chunks inside it. Every reader meets the same damage,
+//!   resyncs and sequence checks as a sequential read, so the spans tile
+//!   the healthy chunks exactly. The prefix walks cost CPU, not
+//!   wall-clock: they run while the earlier spans are swept. Legacy v1
+//!   streams have no chunk frames to cut at and stay one span.
 //!
-//! Both parallel modes run a fresh pass per work item (study day or
-//! chunk), then fold the per-item accumulators **in item order** (via
-//! [`telco_sim::collect_runs`]), so which worker processed which item
-//! can never reach the output. Pass authors keep the fold exact by
-//! obeying the [`AnalysisPass::merge`] contract: accumulate only
+//! # Determinism of the span merge
+//!
+//! Span boundaries depend only on the sealed record count and the thread
+//! count, and the partials fold in span order, so which worker finished
+//! first can never reach the merge sequence. Pass authors keep the fold
+//! exact by obeying the [`AnalysisPass::merge`] contract: accumulate only
 //! order-robust state during `record` (integer counters, integer-valued
 //! `f64` sums — exact under regrouping below 2^53 — set unions, and
 //! sample vectors concatenated in trace order) and defer every
 //! order-sensitive computation (ratios, sorts, ECDFs, world joins) to
-//! `end`. Chunk-granular folding asks slightly more than day-granular
-//! did — merges now happen at arbitrary record boundaries, not just
-//! midnight — and every shipped pass satisfies it: the only
-//! boundary-sensitive accumulator (ping-pong chain stitching) keeps
-//! explicit first/last edge state precisely so its merge is exact at
-//! any split point.
+//! `end`. Seams fall at arbitrary record (or chunk) boundaries and move
+//! with the thread count, and every shipped pass is exact at any split
+//! point: the only boundary-sensitive accumulator (ping-pong chain
+//! stitching) keeps explicit first/last edge state precisely so its
+//! merge is exact wherever the seam lands.
 
 use telco_signaling::messages::HoType;
-use telco_sim::{collect_runs, SimConfig, StealCursor, StudyData, World};
+use telco_sim::{SimConfig, StudyData, World};
 use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
-use telco_trace::io::CodecError;
-use telco_trace::prefetch::{Frame, FrameQueue};
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{decode_frame, encode_frame, SnapError, SnapReader, SnapWriter};
-use telco_trace::source::COLUMN_BATCH_RECORDS;
-use telco_trace::store::{decode_payload_columns, ChunkIssue, TraceReader};
+use telco_trace::source::Span;
+use telco_trace::store::ChunkIssue;
 
 use crate::frame::Enriched;
 
@@ -68,7 +69,8 @@ pub struct SweepCtx<'a> {
 ///
 /// Lifecycle: `begin(ctx)` once, `record(r, e)` per handover record in
 /// timestamp order, `end(ctx)` once to produce the output. A parallel
-/// sweep runs one instance per study day and folds them with `merge`.
+/// sweep runs one instance per span of the trace and folds them in span
+/// order with `merge`.
 pub trait AnalysisPass {
     /// The finished analysis this pass produces.
     type Output;
@@ -82,26 +84,12 @@ pub trait AnalysisPass {
     /// Fold one handover record into the accumulator.
     fn record(&mut self, r: &HoRecord, e: &Enriched);
 
-    /// Fold a whole chunk of records. The driver feeds chunks, not
-    /// records: overriding this lets a pass (or a composite of many) run
-    /// one tight loop per chunk instead of paying a full dispatch fan-out
-    /// per record — the difference between the codec-bound and the
-    /// dispatch-bound stream-aggregate benchmark. The default simply
-    /// loops [`AnalysisPass::record`]; overrides must be
-    /// record-for-record equivalent to that loop.
-    #[inline]
-    fn record_chunk(&mut self, chunk: &[HoRecord], e: &Enriched) {
-        for r in chunk {
-            self.record(r, e);
-        }
-    }
-
-    /// Fold a decoded column batch. This is what the driver actually
-    /// feeds on every execution mode: overriding it with tight scans
-    /// over the column slices the pass needs (and nothing else) is the
-    /// columnar fast path. The default materializes each row through
-    /// [`ColumnBatch::rows`] and loops [`AnalysisPass::record`];
-    /// overrides must be record-for-record equivalent to that loop.
+    /// Fold a decoded column batch — what the driver feeds. Overriding it
+    /// with tight scans over the column slices the pass needs (and
+    /// nothing else) is the columnar fast path. The default materializes
+    /// each row through [`ColumnBatch::rows`] and loops
+    /// [`AnalysisPass::record`]; overrides must be record-for-record
+    /// equivalent to that loop.
     #[inline]
     // telco-lint: deny-alloc(begin)
     fn record_columns(&mut self, batch: &ColumnBatch, e: &Enriched) {
@@ -112,7 +100,7 @@ pub trait AnalysisPass {
     // telco-lint: deny-alloc(end)
 
     /// Fold another instance of this pass into `self`. `other` saw a
-    /// later, disjoint span of the trace (the driver merges in day
+    /// later, disjoint span of the trace (the driver merges in span
     /// order). The fold must be deterministic: the result may depend on
     /// which records each side saw, never on hash-iteration or thread
     /// order.
@@ -172,8 +160,7 @@ pub fn restore_pass<P: AnalysisPass>(pass: &mut P, bytes: &[u8]) -> Result<(), S
 }
 
 /// The sweep driver: one shared traversal of a study's trace feeding any
-/// pass. Sequential over in-memory or spilled sources; day-parallel over
-/// in-memory sources when the config asks for threads.
+/// pass, cut into one span per configured thread.
 pub struct Sweep<'a> {
     data: &'a StudyData,
 }
@@ -185,8 +172,7 @@ impl<'a> Sweep<'a> {
     }
 
     /// Run one pass (or composite) in a single trace traversal. `make`
-    /// builds a fresh accumulator; the parallel mode calls it once per
-    /// study day plus once for the fold base.
+    /// builds one accumulator per span, so at most `threads` per run.
     ///
     /// # Errors
     ///
@@ -199,220 +185,39 @@ impl<'a> Sweep<'a> {
         F: Fn() -> P + Sync,
     {
         let ctx = SweepCtx { world: &self.data.world, config: &self.data.config };
-        let threads = resolve_threads(&self.data.config);
-        if threads > 1 {
-            if self.data.config.n_days > 1 {
-                // In-memory sources partition by day (day_slices is
-                // Some); spilled ones fall through to the chunk mode.
-                if let Some(output) = self.run_parallel(&make, &ctx, threads) {
-                    return Ok(output);
-                }
-            }
-            // Spilled sources parallelize at chunk granularity (None
-            // for in-memory sources and legacy v1 streams).
-            if let Some(result) = self.run_parallel_spilled(&make, &ctx, threads) {
-                return result;
-            }
-        }
-        self.run_sequential(make(), &ctx)
-    }
-
-    fn run_sequential<P: AnalysisPass>(
-        &self,
-        mut pass: P,
-        ctx: &SweepCtx,
-    ) -> Result<P::Output, ChunkIssue> {
+        let trace = &self.data.trace;
         let enriched = Enriched::new(ctx.world);
-        pass.begin(ctx);
-        // telco-lint: deny-panic(begin)
-        self.data.trace.for_each_columns(|batch| pass.record_columns(batch, &enriched))?;
-        // telco-lint: deny-panic(end)
-        Ok(pass.end(ctx))
-    }
-
-    /// Day-partitioned parallel sweep over an in-memory source. Returns
-    /// `None` when the source cannot be partitioned (spilled traces),
-    /// falling through to the chunk-parallel mode without consuming an
-    /// extra traversal.
-    fn run_parallel<P, F>(&self, make: &F, ctx: &SweepCtx, threads: usize) -> Option<P::Output>
-    where
-        P: AnalysisPass + Send,
-        F: Fn() -> P + Sync,
-    {
-        let slices = self.data.trace.day_slices(self.data.config.n_days)?;
-        let enriched = Enriched::new(ctx.world);
-        let cursor = StealCursor::new(slices.len());
-        let workers = threads.min(slices.len()).max(1);
-
-        let results: Vec<(Vec<(usize, P)>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (slices, cursor, enriched) = (&slices, &cursor, &enriched);
-                    scope.spawn(move || {
-                        let mut batch = ColumnBatch::new();
-                        let mut done: Vec<(usize, P)> = Vec::new();
-                        let mut batches = 0u64;
-                        while let Some(day) = cursor.claim() {
-                            let mut pass = make();
-                            pass.begin(ctx);
-                            let slice = slices.get(day).copied().unwrap_or(&[]);
-                            // telco-lint: deny-panic(begin)
-                            for window in slice.chunks(COLUMN_BATCH_RECORDS) {
-                                batch.clear();
-                                batch.extend_from_rows(window);
-                                batches += 1;
-                                pass.record_columns(&batch, enriched);
-                            }
-                            // telco-lint: deny-panic(end)
-                            done.push((day, pass));
-                        }
-                        (done, batches)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-        });
-
-        let mut per_worker = Vec::with_capacity(results.len());
-        let mut total_batches = 0u64;
-        for (done, batches) in results {
-            per_worker.push(done);
-            total_batches += batches;
-        }
-        self.data.trace.note_column_batches(total_batches);
-
-        // telco-lint: deny-nondeterminism(begin)
-        // Fold the per-day accumulators in day order — collect_runs sorts
-        // by claimed item index, so worker assignment cannot reach the
-        // merge sequence and the fold replays the sequential order.
-        let mut base = make();
-        base.begin(ctx);
-        for (_, part) in collect_runs(per_worker) {
-            base.merge(part, ctx);
-        }
-        // telco-lint: deny-nondeterminism(end)
-        Some(base.end(ctx))
-    }
-
-    /// Chunk-granular parallel sweep over a spilled trace: one reader
-    /// thread streams CRC-verified raw payloads into a bounded
-    /// [`FrameQueue`], workers claim ascending chunk indexes off the
-    /// steal cursor, decode each payload into private [`ColumnBatch`]
-    /// scratch, and run a fresh pass per chunk; the per-chunk
-    /// accumulators fold in chunk order, replaying the sequential
-    /// stream. Returns `None` for in-memory sources and legacy v1
-    /// streams (no chunk frames to parallelize over).
-    ///
-    /// Error semantics match the sequential spilled traversal: damaged
-    /// chunks are skipped by the reader thread (they never receive a
-    /// fold index), an I/O failure aborts the whole sweep.
-    fn run_parallel_spilled<P, F>(
-        &self,
-        make: &F,
-        ctx: &SweepCtx,
-        threads: usize,
-    ) -> Option<Result<P::Output, ChunkIssue>>
-    where
-        P: AnalysisPass + Send,
-        F: Fn() -> P + Sync,
-    {
-        let path = self.data.trace.spill_path()?;
-        let mut reader = match TraceReader::open(path) {
-            Ok(reader) => reader,
-            Err(e) => return Some(Err(ChunkIssue { chunk: 0, offset: 0, error: e })),
+        let spans = trace.spans(resolve_threads(&self.data.config));
+        trace.note_sweep();
+        let sweep_span = |span: Span| -> Result<P, ChunkIssue> {
+            let mut pass = make();
+            pass.begin(&ctx);
+            // telco-lint: deny-panic(begin)
+            trace.for_each_columns_in(span, |batch| pass.record_columns(batch, &enriched))?;
+            // telco-lint: deny-panic(end)
+            Ok(pass)
         };
-        let version = reader.version();
-        if version == 1 {
-            return None;
-        }
-        self.data.trace.note_sweep();
-        let enriched = Enriched::new(ctx.world);
-        // Two slots per worker: the reader stays one full frame ahead of
-        // every worker (double buffering), and since at most `threads`
-        // claimed frames are undrained at any instant, pushes never
-        // deadlock against a slot nobody will take.
-        let queue = FrameQueue::new(threads * 2);
-        let cursor = StealCursor::new(usize::MAX);
-
-        let results: Vec<(Vec<(usize, P)>, u64)> = std::thread::scope(|scope| {
-            let queue_ref = &queue;
-            scope.spawn(move || {
-                let mut produced = 0u64;
-                loop {
-                    let mut payload = queue_ref.buffer();
-                    match reader.next_chunk_raw(&mut payload) {
-                        None => break,
-                        Some(Ok(raw)) => {
-                            queue_ref.push(Frame { index: produced, count: raw.count, payload });
-                            produced += 1;
-                        }
-                        Some(Err(issue)) if matches!(issue.error, CodecError::Io(_)) => {
-                            queue_ref.fail(produced, issue);
-                            return;
-                        }
-                        // Skip-and-report: a damaged chunk never gets a
-                        // frame index, exactly like the sequential skip.
-                        Some(Err(_)) => queue_ref.recycle(payload),
-                    }
-                }
-                queue_ref.finish(produced);
-            });
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let (queue, cursor, enriched) = (&queue, &cursor, &enriched);
-                    scope.spawn(move || {
-                        let mut batch = ColumnBatch::new();
-                        let mut done: Vec<(usize, P)> = Vec::new();
-                        let mut batches = 0u64;
-                        while let Some(index) = cursor.claim() {
-                            let Some(frame) = queue.take(index as u64) else { break };
-                            // telco-lint: deny-panic(begin)
-                            let decoded = decode_payload_columns(
-                                version,
-                                frame.count,
-                                &frame.payload,
-                                &mut batch,
-                            );
-                            if decoded.is_ok() {
-                                let mut pass = make();
-                                pass.begin(ctx);
-                                pass.record_columns(&batch, enriched);
-                                done.push((index, pass));
-                                batches += 1;
-                            }
-                            // telco-lint: deny-panic(end)
-                            queue.recycle(frame.payload);
-                        }
-                        (done, batches)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-        });
-
-        if let Some(issue) = queue.take_error() {
-            return Some(Err(issue));
-        }
-        let mut per_worker = Vec::with_capacity(results.len());
-        let mut total_batches = 0u64;
-        for (done, batches) in results {
-            per_worker.push(done);
-            total_batches += batches;
-        }
-        self.data.trace.note_column_batches(total_batches);
+        let partials: Vec<Result<P, ChunkIssue>> = match spans.as_slice() {
+            [span] => vec![sweep_span(*span)],
+            _ => std::thread::scope(|scope| {
+                let sweep_span = &sweep_span;
+                let workers: Vec<_> =
+                    spans.iter().map(|&span| scope.spawn(move || sweep_span(span))).collect();
+                workers.into_iter().map(|w| w.join().expect("sweep worker panicked")).collect()
+            }),
+        };
 
         // telco-lint: deny-nondeterminism(begin)
-        // Fold the per-chunk accumulators in chunk order — collect_runs
-        // sorts by claimed frame index, so neither worker assignment nor
-        // completion order can reach the merge sequence; the fold
-        // replays the file's healthy-chunk order exactly.
-        let mut base = make();
-        base.begin(ctx);
-        for (_, part) in collect_runs(per_worker) {
-            base.merge(part, ctx);
+        // Fold the partials in span order, so the merge sequence replays
+        // the trace order whichever worker finished first; the first I/O
+        // failure in trace order wins.
+        let mut partials = partials.into_iter();
+        let mut folded = partials.next().expect("spans() yields at least one span")?;
+        for partial in partials {
+            folded.merge(partial?, &ctx);
         }
         // telco-lint: deny-nondeterminism(end)
-        Some(Ok(base.end(ctx)))
+        Ok(folded.end(&ctx))
     }
 }
 

@@ -124,9 +124,8 @@ impl TemporalEvolution {
 
 /// Streaming accumulator for [`TemporalEvolution`]. Postcodes lacking
 /// reliable census data are dropped, as in the paper (§5.1 footnote).
-/// Every (week, slot-of-week) index belongs to exactly one study day, so
-/// day-partitioned merges add integer counts into disjoint slots and
-/// union disjoint active-sector sets — exactly the sequential result.
+/// Merges add integer counts and union active-sector sets slot by slot,
+/// so a merge at any split point gives exactly the sequential result.
 #[derive(Debug, Default)]
 pub struct TemporalPass {
     n_weeks: usize,

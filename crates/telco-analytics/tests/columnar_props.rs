@@ -99,8 +99,8 @@ fn materialize(mut records: Vec<HoRecord>, world: &World) -> Vec<HoRecord> {
 /// Run one pass both ways over the same records and return the two
 /// serialized outputs. The columnar side sees the records split into
 /// batches of `chunk_len` so window boundaries land in arbitrary places,
-/// mirroring how both the sequential driver and the chunk-parallel
-/// spilled sweep slice a trace.
+/// mirroring how the sweep's spans and a spilled trace's chunks slice a
+/// trace.
 fn both_paths<P, F>(make: F, records: &[HoRecord], chunk_len: usize) -> (String, String)
 where
     P: AnalysisPass,

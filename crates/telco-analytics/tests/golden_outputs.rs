@@ -200,9 +200,9 @@ fn golden_study_tiny_three_way_codec_matrix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The tiny golden, reproduced by day-partitioned parallel sweeps: merged
-/// accumulators must be byte-identical to the sequential result at every
-/// thread count.
+/// The tiny golden, reproduced by span-parallel sweeps of the in-memory
+/// trace: one accumulator per span, merged in span order, must be
+/// byte-identical to the sequential result at every thread count.
 #[test]
 fn golden_study_tiny_parallel_sweep() {
     let expected = std::fs::read_to_string(
@@ -305,7 +305,7 @@ fn golden_study_tiny_orchestrated() {
     orchestrate(store.clone(), &OrchestrateOptions::new(Launcher::InProcess))
         .expect("orchestrated study");
 
-    // Analyze the sealed store sequentially and through the chunk-parallel
+    // Analyze the sealed store sequentially and through the span-parallel
     // spilled sweep: both must reproduce the sequential in-memory golden
     // byte-for-byte.
     for threads in [1usize, 2, 8] {

@@ -1,7 +1,7 @@
 //! `repro bench-study` — measure the single-sweep analysis engine: the
 //! full [`StudyPasses`] composite (every record analysis plus both
 //! sector frames in one visitor) across a {1, 2, 4, 8}-thread scaling
-//! matrix per preset, the spilled chunk-parallel sweep (columnar v3
+//! matrix per preset, the spilled span-parallel sweep (columnar v3
 //! trace) across the same matrix, a decode-vs-analyze breakdown of the
 //! out-of-core path, and the traversal count of a full study. Writes the
 //! numbers to `BENCH_study.json` at the repo root.
@@ -157,10 +157,11 @@ fn run_preset(
         assert_eq!(seen, records);
     });
 
-    // The spilled chunk-parallel sweep across the same thread matrix:
-    // threads == 1 streams sequentially, > 1 takes the prefetch-queue +
-    // work-stealing path. Byte-identity across the matrix is pinned by
-    // the golden tests; here we measure and cross-check the counts.
+    // The spilled span-parallel sweep across the same thread matrix:
+    // threads == 1 streams the whole file on the calling thread, > 1
+    // gives each worker a reader that decodes only its own span's
+    // chunks. Byte-identity across the matrix is pinned by the golden
+    // tests; here we measure and cross-check the counts.
     let mut spilled_matrix: Vec<(usize, bool, Measurement)> = Vec::new();
     for &threads in &THREAD_MATRIX {
         spilled_data.config.threads = threads;

@@ -204,8 +204,8 @@ fn run_orchestrate(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        // Analytics sweep the sealed trace with the chunk-parallel
-        // out-of-core pipeline; `--threads N` overrides the planned
+        // Analytics sweep the sealed trace with the span-parallel
+        // out-of-core sweep; `--threads N` overrides the planned
         // config (0 = available parallelism), byte-identical either way.
         if let Some(n) = flag_value(args, "--threads").and_then(|v| v.parse().ok()) {
             data.config.threads = n;

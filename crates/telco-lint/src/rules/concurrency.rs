@@ -1,7 +1,7 @@
 //! Concurrency rule pack.
 //!
-//! PRs 5–7 bought throughput with lock-free work cursors, a prefetching
-//! frame queue, and subprocess pools; each carries memory-ordering and
+//! The workspace buys throughput with lock-free work cursors, scoped
+//! worker threads and subprocess pools; each carries memory-ordering and
 //! blocking-discipline claims that tests cannot exercise reliably. This
 //! pack makes three of those claims machine-checked:
 //!
@@ -13,8 +13,8 @@
 //!   comparator-heavy analytics code never false-positives;
 //! - **unbounded channels** — `std::sync::mpsc::channel` (or a
 //!   crossbeam-style `unbounded`) between threads lets a fast producer
-//!   run the process out of memory; bounded queues are the repo
-//!   contract (`FrameQueue`, `sync_channel`);
+//!   run the process out of memory; bounded queues (`sync_channel`)
+//!   are the repo contract;
 //! - **guard across subprocess wait** — holding a `Mutex` guard while
 //!   blocking on `Child::wait`/`try_wait`/`wait_with_output` stalls
 //!   every sibling worker on a lock whose hold time is another
@@ -120,7 +120,7 @@ fn check_unbounded_channels(file: &SourceFile, markers: &FileMarkers, out: &mut 
                 path: file.rel_path.clone(),
                 line,
                 message: format!(
-                    "unbounded channel `{path}` — a fast producer can exhaust memory; use a bounded queue (`sync_channel`, `FrameQueue`)"
+                    "unbounded channel `{path}` — a fast producer can exhaust memory; use a bounded queue such as `sync_channel`"
                 ),
                 snippet: file.raw_line(line).trim().to_string(),
             });

@@ -252,8 +252,8 @@ impl IngestEngine {
 
         // 1. Simulate the day and fold it into a fresh delta composite.
         //    `run_shard` emits exactly the day-`d` slice of the full
-        //    study's trace, in trace order, so this fold sequence is the
-        //    day-parallel sweep's fold with one day per merge.
+        //    study's trace, in trace order, so this fold sequence is a
+        //    span sweep's fold with its seams at midnight.
         let mut shard = run_shard(&self.world, &self.config, day..day + 1, 0..self.world.n_ues());
         let records = shard.dataset.len() as u64;
         let trace = TraceSource::in_memory(std::mem::take(&mut shard.dataset));

@@ -10,8 +10,9 @@
 //!
 //! The served numbers are not approximations: the final full view is
 //! byte-identical to serializing a one-shot batch [`telco_analytics::Study`]
-//! of the same config — the incremental fold is the day-parallel sweep's
-//! fold, one day per merge, and the golden suite pins the equivalence.
+//! of the same config — the incremental fold is the span-parallel sweep's
+//! fold with its seams at midnight, and the golden suite pins the
+//! equivalence.
 //!
 //! ## Example
 //!

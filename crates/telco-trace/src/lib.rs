@@ -27,7 +27,6 @@ pub mod crc32;
 pub mod dataset;
 pub mod hash;
 pub mod io;
-pub mod prefetch;
 pub mod probe;
 pub mod record;
 pub mod snap;
@@ -39,9 +38,8 @@ pub use columnar::ColumnBatch;
 pub use dataset::SignalingDataset;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use io::{decode, encode, from_json, read_file, to_json, write_file, CodecError};
-pub use prefetch::{Frame, FrameQueue};
 pub use probe::{probe_trailer, validate_file, StreamSummary, TrailerProbe};
 pub use record::{DeviceRecord, HoOutcome, HoRecord, TopologyRecord};
 pub use snap::{decode_frame, encode_frame, SnapError, SnapReader, SnapWriter};
-pub use source::{SpilledTrace, TraceSource};
+pub use source::{Span, SpilledTrace, TraceSource};
 pub use store::{ChunkIssue, RawChunk, TraceReader, TraceWriter};

@@ -11,14 +11,19 @@
 //! - **bounded memory on the spilled path** — [`TraceSource::for_each_chunk`]
 //!   streams a spilled trace chunk-by-chunk through a reused buffer and
 //!   never materializes a full-trace `Vec<HoRecord>`.
+//!
+//! A parallel traversal cuts the trace into contiguous [`Span`]s
+//! ([`TraceSource::spans`]) and sweeps each on its own worker
+//! ([`TraceSource::for_each_columns_in`]).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::columnar::ColumnBatch;
 use crate::dataset::SignalingDataset;
+use crate::io::CodecError;
 use crate::record::HoRecord;
-use crate::store::{ChunkIssue, TraceReader};
+use crate::store::{decode_payload_columns, ChunkIssue, TraceReader};
 
 /// Records per column batch when transposing an in-memory dataset for
 /// the columnar sweep: large enough to amortize the per-batch pass
@@ -39,6 +44,24 @@ pub struct SpilledTrace {
     pub records: u64,
 }
 
+/// A contiguous run of a trace, by offset among its healthy records: the
+/// records at offsets `start..end`. On a spilled trace the unit is the
+/// chunk — a chunk belongs to the span that holds its first record's
+/// offset — so a span's edges snap to chunk boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Offset of the span's first record.
+    pub start: u64,
+    /// Offset one past the span's last record; [`u64::MAX`] leaves the
+    /// span open-ended.
+    pub end: u64,
+}
+
+impl Span {
+    /// The whole trace.
+    pub const ALL: Span = Span { start: 0, end: u64::MAX };
+}
+
 #[derive(Debug)]
 enum SourceKind {
     InMemory(SignalingDataset),
@@ -53,10 +76,9 @@ pub struct TraceSource {
     kind: SourceKind,
     sweeps: AtomicU64,
     /// Column batches served by the fast path ([`TraceSource::for_each_columns`]
-    /// or an external columnar pipeline that reports via
-    /// [`TraceSource::note_column_batches`]) — lets benchmarks assert the
-    /// columnar path was exercised rather than silently falling back to
-    /// rows.
+    /// and [`TraceSource::for_each_columns_in`]) — lets benchmarks assert
+    /// the columnar path was exercised rather than silently falling back
+    /// to rows.
     column_batches: AtomicU64,
 }
 
@@ -122,14 +144,6 @@ impl TraceSource {
         matches!(self.kind, SourceKind::Spilled(_))
     }
 
-    /// The backing file of a spilled source.
-    pub fn spill_path(&self) -> Option<&Path> {
-        match &self.kind {
-            SourceKind::InMemory(_) => None,
-            SourceKind::Spilled(s) => Some(&s.path),
-        }
-    }
-
     /// The in-memory dataset, if this source holds one.
     pub fn as_dataset(&self) -> Option<&SignalingDataset> {
         match &self.kind {
@@ -159,16 +173,11 @@ impl TraceSource {
         self.column_batches.load(Ordering::Relaxed)
     }
 
-    /// Record one traversal performed by an external pipeline (e.g. the
-    /// parallel out-of-core sweep, which opens its own reader instead of
-    /// going through [`TraceSource::for_each_chunk`]).
+    /// Record one traversal made of [`TraceSource::for_each_columns_in`]
+    /// calls, which do not count themselves: a sweep over many spans is
+    /// still one traversal.
     pub fn note_sweep(&self) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` column batches decoded by an external pipeline.
-    pub fn note_column_batches(&self, n: u64) {
-        self.column_batches.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Traverse the trace once, in timestamp order, handing `f` one
@@ -179,40 +188,111 @@ impl TraceSource {
     /// transposes fixed-size record windows through one reused batch.
     /// Error semantics match [`TraceSource::for_each_chunk`]: damaged
     /// chunks are skipped, I/O failure aborts.
-    pub fn for_each_columns(&self, mut f: impl FnMut(&ColumnBatch)) -> Result<(), ChunkIssue> {
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
+    pub fn for_each_columns(&self, f: impl FnMut(&ColumnBatch)) -> Result<(), ChunkIssue> {
+        self.note_sweep();
+        self.for_each_columns_in(Span::ALL, f)
+    }
+
+    /// Cut the trace into `n` (at least one) contiguous spans balanced by
+    /// record count, in trace order. The last span is open-ended, so the
+    /// spans cover every healthy record whatever count a spilled trace
+    /// sealed. A legacy v1 stream has no chunk frames to cut at and stays
+    /// one span, as does a spilled trace that fails to open (its
+    /// traversal reports the error).
+    pub fn spans(&self, n: usize) -> Vec<Span> {
+        let splittable = match &self.kind {
+            SourceKind::InMemory(_) => true,
+            SourceKind::Spilled(s) => TraceReader::open(&s.path).is_ok_and(|r| r.version() != 1),
+        };
+        let n = if splittable { n.max(1) as u64 } else { 1 };
+        let total = u128::from(self.len());
+        // `total * k / n` never exceeds `total`, so narrowing is lossless.
+        let cut = |k: u64| (total * u128::from(k) / u128::from(n)) as u64;
+        (0..n)
+            .map(|k| Span { start: cut(k), end: if k + 1 == n { u64::MAX } else { cut(k + 1) } })
+            .collect()
+    }
+
+    /// Traverse one [`Span`] in timestamp order, handing `f` one decoded
+    /// [`ColumnBatch`] at a time like [`TraceSource::for_each_columns`],
+    /// but without counting a sweep ([`TraceSource::note_sweep`]). An
+    /// in-memory source transposes the span's records in fixed-size
+    /// windows. A spilled source opens its own reader and walks the file
+    /// from the start: frames before the span are CRC-checked but not
+    /// decoded, so every span meets the same damage, resyncs and sequence
+    /// checks as a whole-trace read, and the spans of
+    /// [`TraceSource::spans`] tile the healthy chunks exactly. Damaged
+    /// chunks are skipped, I/O failure aborts.
+    pub fn for_each_columns_in(
+        &self,
+        span: Span,
+        mut f: impl FnMut(&ColumnBatch),
+    ) -> Result<(), ChunkIssue> {
+        let mut batch = ColumnBatch::new();
         let mut batches = 0u64;
         let result = match &self.kind {
             SourceKind::InMemory(d) => {
-                let mut batch = ColumnBatch::new();
-                for window in d.records().chunks(COLUMN_BATCH_RECORDS) {
+                let records = d.records();
+                let at = |offset: u64| {
+                    usize::try_from(offset).map_or(records.len(), |o| o.min(records.len()))
+                };
+                let span_records = records.get(at(span.start)..at(span.end)).unwrap_or(&[]);
+                // telco-lint: deny-panic(begin)
+                for window in span_records.chunks(COLUMN_BATCH_RECORDS) {
                     batch.clear();
                     batch.extend_from_rows(window);
                     batches += 1;
                     f(&batch);
                 }
+                // telco-lint: deny-panic(end)
                 Ok(())
             }
             SourceKind::Spilled(s) => {
                 let open = |e| ChunkIssue { chunk: 0, offset: 0, error: e };
                 let mut reader = TraceReader::open(&s.path).map_err(open)?;
-                let mut batch = ColumnBatch::new();
+                let version = reader.version();
+                let mut payload = Vec::new();
+                // Offset of the next healthy chunk's first record: the key
+                // every span's reader computes identically.
+                let mut offset = 0u64;
+                // telco-lint: deny-panic(begin)
                 loop {
-                    match reader.next_chunk_columns(&mut batch) {
+                    if offset >= span.end {
+                        break Ok(());
+                    }
+                    // A v1 stream has no chunk frames: its batches (at most
+                    // 65 536 records) decode as they are read.
+                    let next = if version == 1 {
+                        reader
+                            .next_chunk_columns(&mut batch)
+                            .map(|r| r.map(|()| batch.len() as u32))
+                    } else {
+                        reader.next_chunk_raw(&mut payload).map(|r| r.map(|raw| raw.count))
+                    };
+                    match next {
                         None => break Ok(()),
-                        Some(Ok(())) => {
-                            batches += 1;
-                            f(&batch);
+                        Some(Ok(count)) => {
+                            let first = offset;
+                            offset += u64::from(count);
+                            if first >= span.start
+                                && (version == 1
+                                    || decode_payload_columns(version, count, &payload, &mut batch)
+                                        .is_ok())
+                            {
+                                batches += 1;
+                                f(&batch);
+                            }
                         }
                         // Skip-and-report recovery: corruption already
                         // cost exactly one chunk; an I/O error means the
                         // medium itself failed, so abort.
-                        Some(Err(issue)) if matches!(issue.error, crate::io::CodecError::Io(_)) => {
+                        Some(Err(issue)) if matches!(issue.error, CodecError::Io(_)) => {
                             break Err(issue)
                         }
                         Some(Err(_)) => {}
                     }
                 }
+                // telco-lint: deny-panic(end)
             }
         };
         self.column_batches.fetch_add(batches, Ordering::Relaxed);
@@ -242,7 +322,7 @@ impl TraceSource {
                         // Skip-and-report recovery: corruption already
                         // cost exactly one chunk; an I/O error means the
                         // medium itself failed, so abort.
-                        Err(issue) if matches!(issue.error, crate::io::CodecError::Io(_)) => {
+                        Err(issue) if matches!(issue.error, CodecError::Io(_)) => {
                             return Err(issue)
                         }
                         Err(_) => {}
@@ -252,30 +332,6 @@ impl TraceSource {
             }
         }
     }
-
-    /// Per-day record slices for the parallel sweep: slice `d` holds the
-    /// records of study day `d` (the final slice also absorbs any
-    /// overflow past the configured span, so every record is covered).
-    /// Counts as one traversal. `None` for a spilled source — streaming
-    /// traces are swept sequentially.
-    pub fn day_slices(&self, n_days: u32) -> Option<Vec<&[HoRecord]>> {
-        let dataset = self.as_dataset()?;
-        self.sweeps.fetch_add(1, Ordering::Relaxed);
-        let records = dataset.records();
-        let n = n_days.max(1);
-        let mut slices = Vec::with_capacity(n as usize);
-        let mut start = 0usize;
-        for day in 1..n {
-            // Records are timestamp-sorted, so day boundaries are the
-            // partition points of the monotone `day()` key.
-            let end = start
-                + records.get(start..).map_or(0, |tail| tail.partition_point(|r| r.day() < day));
-            slices.push(records.get(start..end).unwrap_or(&[]));
-            start = end;
-        }
-        slices.push(records.get(start..).unwrap_or(&[]));
-        Some(slices)
-    }
 }
 // telco-lint: audited-atomics(end)
 
@@ -283,7 +339,7 @@ impl TraceSource {
 mod tests {
     use super::*;
     use crate::record::HoOutcome;
-    use crate::store::write_file_v2;
+    use crate::store::{write_file_v2, TraceWriter};
     use telco_devices::population::UeId;
     use telco_topology::elements::SectorId;
     use telco_topology::rat::Rat;
@@ -339,23 +395,41 @@ mod tests {
         src.for_each_chunk(|recs| streamed.extend_from_slice(recs)).unwrap();
         assert_eq!(&streamed[..], d.records());
         assert_eq!(src.sweeps(), 1);
-        assert!(src.day_slices(3).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn day_slices_partition_the_trace() {
-        let d = sample(3, 300);
-        let src = TraceSource::in_memory(d.clone());
-        let slices = src.day_slices(3).unwrap();
-        assert_eq!(slices.len(), 3);
-        assert_eq!(slices.iter().map(|s| s.len()).sum::<usize>(), 300);
-        for (day, slice) in slices.iter().enumerate() {
-            assert!(slice.iter().all(|r| r.day() as usize == day));
+    fn spans_tile_the_trace() {
+        let d = sample(3, 40_000);
+        let dir = std::env::temp_dir().join("telco_source_spans_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.tlho");
+        let mut writer = TraceWriter::create(&path, 3).unwrap();
+        for chunk in d.records().chunks(1_000) {
+            writer.write_chunk(chunk).unwrap();
         }
-        let flat: Vec<HoRecord> = slices.iter().flat_map(|s| s.iter().copied()).collect();
-        assert_eq!(&flat[..], d.records());
-        assert_eq!(src.sweeps(), 1);
+        writer.finish().unwrap();
+
+        for src in
+            [TraceSource::in_memory(d.clone()), TraceSource::spilled(&path, 3, d.len() as u64)]
+        {
+            for n in [1, 2, 3, 7] {
+                let spans = src.spans(n);
+                assert_eq!(spans.len(), n);
+                let mut streamed = Vec::new();
+                for &span in &spans {
+                    src.for_each_columns_in(span, |batch| streamed.extend(batch.rows())).unwrap();
+                }
+                assert_eq!(&streamed[..], d.records(), "{n} span(s)");
+            }
+            assert_eq!(src.sweeps(), 0, "a span is not a sweep");
+        }
+
+        // A v1 stream has no chunk frames to cut at.
+        let v1 = dir.join("trace-v1.tlho");
+        crate::io::write_file(&d, &v1).unwrap();
+        assert_eq!(TraceSource::spilled(&v1, 3, d.len() as u64).spans(4), vec![Span::ALL]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -388,11 +462,10 @@ mod tests {
     }
 
     #[test]
-    fn external_pipeline_counters() {
+    fn note_sweep_counts_one_traversal() {
         let src = TraceSource::in_memory(sample(1, 10));
         src.note_sweep();
-        src.note_column_batches(3);
         assert_eq!(src.sweeps(), 1);
-        assert_eq!(src.column_batches(), 3);
+        assert_eq!(src.column_batches(), 0);
     }
 }

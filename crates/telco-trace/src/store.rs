@@ -327,9 +327,9 @@ pub fn write_file_v3(dataset: &SignalingDataset, path: &Path) -> std::io::Result
 /// Decode one CRC-verified chunk payload (as produced by
 /// [`TraceReader::next_chunk_raw`]) into a [`ColumnBatch`], dispatching
 /// on the stream version: v3 payloads decode column-wise, v2 payloads
-/// are transposed row-by-row. This is the worker-side half of the
-/// parallel out-of-core sweep — a reader thread ships raw payloads,
-/// workers decode them into their own reusable batches.
+/// are transposed row-by-row. The span sweep reads every frame raw and
+/// decodes only the chunks inside its span, so readers of different
+/// spans count record offsets the same way.
 pub fn decode_payload_columns(
     version: u16,
     count: u32,

@@ -137,8 +137,12 @@ pub struct ServedView {
     pub full: Option<String>,
     /// [`SweepOutputs`] over the most recent committed day only.
     pub last_day: Option<String>,
-    /// [`SweepOutputs`] over the last ≤ 7 committed days.
+    /// [`SweepOutputs`] over exactly the last `min(7, committed_days)`
+    /// days; `None` when fewer than that are retained.
     pub last_week: Option<String>,
+    /// Trailing committed days whose partials the ingest retains: a
+    /// window longer than this (and than `committed_days`) is refused.
+    pub retained_days: u32,
     /// The full view split by top-level analysis, for `table`/`figure`
     /// queries: `(field name, compact JSON)` in [`SweepOutputs`] field
     /// order.
@@ -315,27 +319,41 @@ impl IngestEngine {
         Ok(())
     }
 
-    /// Rebuild [`SweepOutputs`] from a snapshot frame: restore into a
-    /// fresh composite and finish it. The live accumulator is never
-    /// consumed — views are always derived from snapshot bytes, which
-    /// doubles as a continuous self-test of the codec.
+    /// Finish [`SweepOutputs`] from a snapshot frame: restore it into a
+    /// fresh composite and end that. The live accumulator is never
+    /// consumed: views are always derived from snapshot bytes, the same
+    /// bytes a restart restores, so every view doubles as a self-test of
+    /// the codec.
     fn outputs_from(&self, bytes: &[u8]) -> Result<SweepOutputs, ServeError> {
         let mut passes = StudyPasses::default();
         restore_pass(&mut passes, bytes)?;
         Ok(passes.end(&self.ctx()))
     }
 
-    /// [`SweepOutputs`] over the trailing `days` retained partials
-    /// (fewer when the ingest is younger than the window).
-    fn window_outputs(&self, days: usize) -> Result<Option<SweepOutputs>, ServeError> {
-        if self.partials.is_empty() {
+    /// How many trailing committed days have their partial retained, with
+    /// no gap back from the newest.
+    fn retained_days(&self) -> u32 {
+        let newest_first = (0..self.committed_days).rev();
+        self.partials
+            .iter()
+            .rev()
+            .zip(newest_first)
+            .take_while(|((day, _), want)| day == want)
+            .count() as u32
+    }
+
+    /// [`SweepOutputs`] over exactly the last `min(days, committed)`
+    /// days, folded from their retained partials; `None` when nothing is
+    /// committed or fewer of those days are retained.
+    fn window_outputs(&self, days: u32) -> Result<Option<SweepOutputs>, ServeError> {
+        let days = days.min(self.committed_days);
+        if days == 0 || days > self.retained_days() {
             return Ok(None);
         }
         let ctx = self.ctx();
         let mut acc = StudyPasses::default();
         acc.begin(&ctx);
-        let skip = self.partials.len().saturating_sub(days);
-        for (_, bytes) in self.partials.iter().skip(skip) {
+        for (_, bytes) in self.partials.iter().skip(self.partials.len() - days as usize) {
             let mut part = StudyPasses::default();
             restore_pass(&mut part, bytes)?;
             acc.merge(part, &ctx);
@@ -347,60 +365,81 @@ impl IngestEngine {
     /// the ingest loop after each committed day — queries only ever read
     /// a previously built view, so their staleness is bounded by one
     /// day-fold and they never contend with it.
+    ///
+    /// The full view is restored from the baseline snapshot the day just
+    /// committed, read back through the store, and serialized once: each
+    /// top-level analysis into its section, and `full` assembled from the
+    /// sections.
     pub fn build_view(&self) -> Result<ServedView, ServeError> {
         let mut view = ServedView {
             committed_days: self.committed_days,
             total_days: self.config.n_days,
+            retained_days: self.retained_days(),
             ..ServedView::default()
         };
         if self.committed_days == 0 {
             return Ok(view);
         }
-        let json = |e: serde_json::Error| ServeError::Json(e.to_string());
-        let outputs = self.outputs_from(&snapshot_pass(&self.live))?;
-        view.records = outputs.trace_counts.records;
-        view.failures = outputs.trace_counts.failures;
-        view.sections = sections_of(&outputs)?;
-        view.full = Some(serde_json::to_string(&outputs).map_err(json)?);
-        if let Some(day) = self.window_outputs(1)? {
-            view.last_day = Some(serde_json::to_string(&day).map_err(json)?);
+        {
+            // Scoped, so the restored study is freed before the window
+            // folds build theirs.
+            let baseline = get_bytes(self.store.as_ref(), &baseline_object(self.committed_days))?;
+            let outputs = self.outputs_from(&baseline)?;
+            view.records = outputs.trace_counts.records;
+            view.failures = outputs.trace_counts.failures;
+            view.sections = sections_of(&outputs)?;
         }
-        if let Some(week) = self.window_outputs(7)? {
-            view.last_week = Some(serde_json::to_string(&week).map_err(json)?);
-        }
+        view.full = Some(join_sections(&view.sections));
+        view.last_day = self.window_outputs(1)?.as_ref().map(to_json).transpose()?;
+        view.last_week = self.window_outputs(7)?.as_ref().map(to_json).transpose()?;
         Ok(view)
     }
+}
+
+fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, ServeError> {
+    serde_json::to_string(value).map_err(|e| ServeError::Json(e.to_string()))
 }
 
 /// Split a [`SweepOutputs`] into `(top-level field, compact JSON)` pairs
 /// for section queries, in declaration order.
 fn sections_of(o: &SweepOutputs) -> Result<Vec<(String, String)>, ServeError> {
-    let json = |e: serde_json::Error| ServeError::Json(e.to_string());
-    Ok(vec![
-        ("trace_counts".into(), serde_json::to_string(&o.trace_counts).map_err(json)?),
-        ("ho_types".into(), serde_json::to_string(&o.ho_types).map_err(json)?),
-        ("durations".into(), serde_json::to_string(&o.durations).map_err(json)?),
-        (
-            "district_distribution".into(),
-            serde_json::to_string(&o.district_distribution).map_err(json)?,
-        ),
-        (
-            "population_inference".into(),
-            serde_json::to_string(&o.population_inference).map_err(json)?,
-        ),
-        ("ho_density".into(), serde_json::to_string(&o.ho_density).map_err(json)?),
-        ("temporal_evolution".into(), serde_json::to_string(&o.temporal_evolution).map_err(json)?),
-        (
-            "manufacturer_impact".into(),
-            serde_json::to_string(&o.manufacturer_impact).map_err(json)?,
-        ),
-        ("hof_patterns".into(), serde_json::to_string(&o.hof_patterns).map_err(json)?),
-        ("causes".into(), serde_json::to_string(&o.causes).map_err(json)?),
-        ("pingpong".into(), serde_json::to_string(&o.pingpong).map_err(json)?),
-        ("vendor_analysis".into(), serde_json::to_string(&o.vendor_analysis).map_err(json)?),
-        ("frame".into(), serde_json::to_string(&o.frame).map_err(json)?),
-        ("period_frame".into(), serde_json::to_string(&o.period_frame).map_err(json)?),
-    ])
+    macro_rules! sections {
+        ($($field:ident),* $(,)?) => {
+            vec![$((stringify!($field).to_string(), to_json(&o.$field)?)),*]
+        };
+    }
+    Ok(sections!(
+        trace_counts,
+        ho_types,
+        durations,
+        district_distribution,
+        population_inference,
+        ho_density,
+        temporal_evolution,
+        manufacturer_impact,
+        hof_patterns,
+        causes,
+        pingpong,
+        vendor_analysis,
+        frame,
+        period_frame,
+    ))
+}
+
+/// The compact JSON object with `sections` as its members, in order: what
+/// serializing the whole [`SweepOutputs`] writes, without writing it again.
+fn join_sections(sections: &[(String, String)]) -> String {
+    let len = sections.iter().map(|(name, json)| name.len() + json.len() + 4).sum::<usize>();
+    let mut full = String::with_capacity(len + 1);
+    for (name, json) in sections {
+        full.push(if full.is_empty() { '{' } else { ',' });
+        full.push('"');
+        full.push_str(name);
+        full.push_str("\":");
+        full.push_str(json);
+    }
+    full.push('}');
+    full
 }
 
 #[cfg(test)]

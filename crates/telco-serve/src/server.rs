@@ -17,9 +17,13 @@
 //! {"query":"outputs"}                      → full SweepOutputs JSON
 //! {"query":"section","name":"ho_types"}    → one top-level analysis
 //! {"query":"window","days":1}              → SweepOutputs over the last day
-//! {"query":"window","days":7}              → … over the last ≤7 days
+//! {"query":"window","days":7}              → … over the last min(7, committed) days
 //! {"query":"shutdown"}                     → ack, then the server stops
 //! ```
+//!
+//! A window needs its last `min(days, committed_days)` days retained
+//! (the ingest's `window`); a longer one is refused with an error naming
+//! how many are.
 //!
 //! `"table"` and `"figure"` are accepted as aliases of `"section"` —
 //! paper tables and figures are exactly the top-level analyses of
@@ -79,63 +83,100 @@ fn as_u64(v: &Value) -> Option<u64> {
     }
 }
 
-fn error_response(msg: &str) -> String {
-    // Messages are fixed ASCII strings — no escaping needed.
-    format!("{{\"ok\":false,\"error\":\"{msg}\"}}")
+/// A response line (without its newline), in three parts so a bulk
+/// payload the view already holds is borrowed instead of copied: `head`,
+/// then `body`, then `tail`.
+struct Response<'v> {
+    head: String,
+    body: &'v str,
+    tail: &'static str,
+    /// Whether the request asked the server to shut down.
+    stop: bool,
+}
+
+impl<'v> Response<'v> {
+    fn whole(line: String) -> Self {
+        Response { head: line, body: "", tail: "", stop: false }
+    }
+
+    /// `head`, then the view's stored `body`, then the closing brace.
+    fn wrapped(head: String, body: &'v str) -> Self {
+        Response { head, body, tail: "}", stop: false }
+    }
+
+    fn error(msg: &str) -> Self {
+        let msg = serde_json::to_string(msg).unwrap_or_default();
+        Response::whole(format!("{{\"ok\":false,\"error\":{msg}}}"))
+    }
+}
+
+/// Route one request line to its response parts.
+fn route<'v>(line: &str, view: &'v ServedView) -> Response<'v> {
+    let Ok(parsed) = serde_json::parse_value(line) else {
+        return Response::error("request is not valid JSON");
+    };
+    let Some(query) = field(&parsed, "query").and_then(as_str) else {
+        return Response::error("missing \"query\" field");
+    };
+    let days = view.committed_days;
+    let wrap = |payload: &'v Option<String>| match payload {
+        Some(json) => {
+            Response::wrapped(format!("{{\"ok\":true,\"committed_days\":{days},\"outputs\":"), json)
+        }
+        None => Response::error("no day committed yet"),
+    };
+    match query {
+        "status" => Response::whole(format!(
+            "{{\"ok\":true,\"committed_days\":{days},\"total_days\":{},\"records\":{},\
+             \"failures\":{}}}",
+            view.total_days, view.records, view.failures,
+        )),
+        "outputs" | "study" => wrap(&view.full),
+        "section" | "table" | "figure" => {
+            let Some(name) = field(&parsed, "name").and_then(as_str) else {
+                return Response::error("section query needs a \"name\" field");
+            };
+            match view.sections.iter().find(|(k, _)| k == name) {
+                // `name` is one of the view's own section names, so it
+                // needs no escaping.
+                Some((name, json)) => Response::wrapped(
+                    format!(
+                        "{{\"ok\":true,\"committed_days\":{days},\"name\":\"{name}\",\"section\":"
+                    ),
+                    json,
+                ),
+                None if view.sections.is_empty() => Response::error("no day committed yet"),
+                None => Response::error("unknown section name"),
+            }
+        }
+        "window" => {
+            let (span, payload) = match field(&parsed, "days").and_then(as_u64) {
+                Some(1) => (1, &view.last_day),
+                Some(7) => (7, &view.last_week),
+                _ => return Response::error("window \"days\" must be 1 or 7"),
+            };
+            if payload.is_none() && days > 0 {
+                return Response::error(&format!(
+                    "a {span}-day window needs the last {} days, but only {} are retained",
+                    days.min(span),
+                    view.retained_days,
+                ));
+            }
+            wrap(payload)
+        }
+        "shutdown" => Response {
+            stop: true,
+            ..Response::whole("{\"ok\":true,\"shutting_down\":true}".into())
+        },
+        _ => Response::error("unknown query"),
+    }
 }
 
 /// Answer one request line from `view`. Returns the response line and
 /// whether the request asked the server to shut down.
 pub fn handle_request(line: &str, view: &ServedView) -> (String, bool) {
-    let parsed = match serde_json::parse_value(line) {
-        Ok(v) => v,
-        Err(_) => return (error_response("request is not valid JSON"), false),
-    };
-    let Some(query) = field(&parsed, "query").and_then(as_str) else {
-        return (error_response("missing \"query\" field"), false);
-    };
-    let wrap = |payload: &Option<String>, what: &str| match payload {
-        Some(json) => (
-            format!("{{\"ok\":true,\"committed_days\":{},{what}:{json}}}", view.committed_days),
-            false,
-        ),
-        None => (error_response("no day committed yet"), false),
-    };
-    match query {
-        "status" => (
-            format!(
-                "{{\"ok\":true,\"committed_days\":{},\"total_days\":{},\"records\":{},\
-                 \"failures\":{}}}",
-                view.committed_days, view.total_days, view.records, view.failures,
-            ),
-            false,
-        ),
-        "outputs" | "study" => wrap(&view.full, "\"outputs\""),
-        "section" | "table" | "figure" => {
-            let Some(name) = field(&parsed, "name").and_then(as_str) else {
-                return (error_response("section query needs a \"name\" field"), false);
-            };
-            match view.sections.iter().find(|(k, _)| k == name) {
-                Some((_, json)) => (
-                    format!(
-                        "{{\"ok\":true,\"committed_days\":{},\"name\":\"{name}\",\
-                         \"section\":{json}}}",
-                        view.committed_days
-                    ),
-                    false,
-                ),
-                None if view.sections.is_empty() => (error_response("no day committed yet"), false),
-                None => (error_response("unknown section name"), false),
-            }
-        }
-        "window" => match field(&parsed, "days").and_then(as_u64) {
-            Some(1) => wrap(&view.last_day, "\"outputs\""),
-            Some(7) => wrap(&view.last_week, "\"outputs\""),
-            _ => (error_response("window \"days\" must be 1 or 7"), false),
-        },
-        "shutdown" => ("{\"ok\":true,\"shutting_down\":true}".to_string(), true),
-        _ => (error_response("unknown query"), false),
-    }
+    let r = route(line, view);
+    ([r.head.as_str(), r.body, r.tail].concat(), r.stop)
 }
 
 /// The TCP query server: an accept loop on a loopback socket, one
@@ -211,6 +252,10 @@ fn handle_connection(
     shutdown: &AtomicBool,
     addr: SocketAddr,
 ) {
+    // A bulk response ends in a short tail after the payload's large
+    // write; without `TCP_NODELAY` that tail can sit behind a delayed ACK
+    // for ~40 ms. Failing to set it only costs latency.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = std::io::BufWriter::new(write_half);
     let reader = BufReader::new(stream);
@@ -220,14 +265,16 @@ fn handle_connection(
             continue;
         }
         let view = published.current();
-        let (response, stop) = handle_request(&line, &view);
-        if writer.write_all(response.as_bytes()).is_err() {
+        let response = route(&line, &view);
+        // The payload goes from the view to the socket without a copy.
+        let written =
+            [response.head.as_bytes(), response.body.as_bytes(), response.tail.as_bytes(), b"\n"]
+                .iter()
+                .try_for_each(|part| writer.write_all(part));
+        if written.and_then(|()| writer.flush()).is_err() {
             break;
         }
-        if writer.write_all(b"\n").is_err() || writer.flush().is_err() {
-            break;
-        }
-        if stop {
+        if response.stop {
             // ordering: SeqCst — must be globally visible before the wake connection below reaches accept
             shutdown.store(true, Ordering::SeqCst);
             // Wake the accept loop so it observes the flag.
@@ -267,6 +314,7 @@ mod tests {
             full: Some("{\"a\":1}".into()),
             last_day: Some("{\"a\":2}".into()),
             last_week: Some("{\"a\":3}".into()),
+            retained_days: 2,
             sections: vec![("ho_types".into(), "{\"t\":1}".into())],
         }
     }
@@ -290,6 +338,19 @@ mod tests {
         assert!(bad.contains("\"ok\":false"), "{bad}");
         let (garbage, _) = handle_request("not json", &v);
         assert!(garbage.contains("\"ok\":false"));
+        // Error lines are JSON too, quotes in the message included.
+        let (missing, _) = handle_request("{\"name\":\"x\"}", &v);
+        assert_eq!(missing, r#"{"ok":false,"error":"missing \"query\" field"}"#);
+    }
+
+    #[test]
+    fn window_beyond_retention_names_it() {
+        let v = ServedView { committed_days: 4, last_week: None, ..view() };
+        let (week, _) = handle_request("{\"query\":\"window\",\"days\":7}", &v);
+        assert_eq!(
+            week,
+            r#"{"ok":false,"error":"a 7-day window needs the last 4 days, but only 2 are retained"}"#
+        );
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! snapshot/restore cycle in the middle of the stream, and its sliding
 //! windows must account for exactly the days they claim.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
-use telco_analytics::Study;
-use telco_serve::{query_line, IngestEngine, Published, QueryServer};
-use telco_sim::{run_shard, SimConfig, World};
+use telco_analytics::{Study, StudyPasses, Sweep};
+use telco_serve::{handle_request, query_line, IngestEngine, Published, QueryServer};
+use telco_sim::{run_shard, SimConfig, StudyData, TraceSource, World};
 use telco_store::DirStore;
 
 fn test_config() -> SimConfig {
@@ -19,6 +21,15 @@ fn test_config() -> SimConfig {
 
 fn batch_json(cfg: SimConfig) -> String {
     serde_json::to_string(Study::run(cfg).sweep()).expect("batch outputs serialize")
+}
+
+/// The batch sweep of exactly the records of `days`.
+fn batch_days_json(world: &World, cfg: &SimConfig, days: std::ops::Range<u32>) -> String {
+    let mut output = run_shard(world, cfg, days, 0..world.n_ues());
+    let trace = TraceSource::in_memory(std::mem::take(&mut output.dataset));
+    let data = StudyData { config: cfg.clone(), world: world.clone(), output, trace };
+    let outputs = Sweep::new(&data).run(StudyPasses::default).expect("in-memory sweep");
+    serde_json::to_string(&outputs).expect("batch outputs serialize")
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -56,36 +67,6 @@ fn restore_midstream_then_continue_matches_batch() {
 }
 
 #[test]
-fn window_views_count_exactly_their_days() {
-    let cfg = test_config();
-    let store = Box::new(DirStore::create(temp_dir("window")).unwrap());
-    let mut engine = IngestEngine::open(cfg.clone(), store, 7).unwrap();
-    while engine.ingest_next_day().unwrap().is_some() {}
-    let view = engine.build_view().unwrap();
-
-    let world = World::build(&cfg);
-    let day_records =
-        |day: u32| run_shard(&world, &cfg, day..day + 1, 0..world.n_ues()).dataset.len() as u64;
-    let records_of = |json: &str| -> u64 {
-        let v = serde_json::parse_value(json).expect("view JSON parses");
-        let serde::Value::Object(top) = &v else { panic!("view is not an object") };
-        let (_, counts) = top.iter().find(|(k, _)| k == "trace_counts").expect("trace_counts");
-        let serde::Value::Object(counts) = counts else { panic!("counts not an object") };
-        let (_, records) = counts.iter().find(|(k, _)| k == "records").expect("records");
-        match records {
-            serde::Value::U64(n) => *n,
-            other => panic!("records is {other:?}"),
-        }
-    };
-
-    let last = cfg.n_days - 1;
-    assert_eq!(records_of(&view.last_day.unwrap()), day_records(last), "last-day window");
-    let week_expected: u64 = (0..cfg.n_days).map(day_records).sum();
-    assert_eq!(records_of(&view.last_week.unwrap()), week_expected, "last-7-day window");
-    assert_eq!(records_of(&view.full.unwrap()), week_expected, "full view");
-}
-
-#[test]
 fn served_queries_answer_from_committed_views() {
     let cfg = test_config();
     let store = Box::new(DirStore::create(temp_dir("queries")).unwrap());
@@ -117,6 +98,111 @@ fn served_queries_answer_from_committed_views() {
 
     let bye = query_line(addr, "{\"query\":\"shutdown\"}").unwrap();
     assert!(bye.contains("shutting_down"), "{bye}");
+    server.stop();
+    assert!(server.shutdown_requested());
+}
+
+#[test]
+fn windows_over_a_stream_longer_than_the_window() {
+    let mut cfg = SimConfig::tiny();
+    cfg.n_ues = 120;
+    cfg.n_days = 9;
+    let world = World::build(&cfg);
+    let store = Box::new(DirStore::create(temp_dir("long")).unwrap());
+    let mut engine = IngestEngine::open(cfg.clone(), store, 7).unwrap();
+    while let Some(report) = engine.ingest_next_day().unwrap() {
+        let k = report.day + 1;
+        let view = engine.build_view().unwrap();
+        assert_eq!(view.retained_days, k.min(7), "after day {k}");
+        assert_eq!(
+            view.last_day.as_deref(),
+            Some(batch_days_json(&world, &cfg, k - 1..k).as_str()),
+            "last day after day {k}"
+        );
+        assert_eq!(
+            view.last_week.as_deref(),
+            Some(batch_days_json(&world, &cfg, k.saturating_sub(7)..k).as_str()),
+            "last week after day {k}"
+        );
+        assert_eq!(
+            view.full.as_deref(),
+            Some(batch_days_json(&world, &cfg, 0..k).as_str()),
+            "full view after day {k}"
+        );
+    }
+    assert_eq!(engine.committed_days(), 9);
+}
+
+#[test]
+fn window_longer_than_retention_is_refused() {
+    let mut cfg = SimConfig::tiny();
+    cfg.n_ues = 120;
+    cfg.n_days = 4;
+    let world = World::build(&cfg);
+    let store = Box::new(DirStore::create(temp_dir("retention")).unwrap());
+    let mut engine = IngestEngine::open(cfg.clone(), store, 2).unwrap();
+    let week = "{\"query\":\"window\",\"days\":7}";
+    while let Some(report) = engine.ingest_next_day().unwrap() {
+        let k = report.day + 1;
+        let view = engine.build_view().unwrap();
+        assert_eq!(view.retained_days, k.min(2), "after day {k}");
+        let (day, _) = handle_request("{\"query\":\"window\",\"days\":1}", &view);
+        assert!(day.ends_with(&format!("{}}}", batch_days_json(&world, &cfg, k - 1..k))), "{k}");
+        let (answer, _) = handle_request(week, &view);
+        if k <= 2 {
+            // Every committed day is retained: the window is all of them.
+            let expected = batch_days_json(&world, &cfg, 0..k);
+            assert_eq!(view.last_week.as_deref(), Some(expected.as_str()), "after day {k}");
+            assert!(answer.ends_with(&format!("{expected}}}")), "after day {k}");
+        } else {
+            assert_eq!(view.last_week, None, "after day {k}");
+            assert_eq!(
+                answer,
+                format!(
+                    "{{\"ok\":false,\"error\":\"a 7-day window needs the last {k} days, but \
+                     only 2 are retained\"}}"
+                ),
+            );
+        }
+    }
+}
+
+#[test]
+fn socket_responses_equal_handle_request() {
+    let cfg = test_config();
+    let store = Box::new(DirStore::create(temp_dir("socket")).unwrap());
+    let mut engine = IngestEngine::open(cfg, store, 7).unwrap();
+    while engine.ingest_next_day().unwrap().is_some() {}
+    let view = engine.build_view().unwrap();
+    let published = Arc::new(Published::new(view.clone()));
+    let mut server = QueryServer::start(published, 0).unwrap();
+
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    for query in [
+        "{\"query\":\"status\"}",
+        "{\"query\":\"outputs\"}",
+        "{\"query\":\"study\"}",
+        "{\"query\":\"section\",\"name\":\"frame\"}",
+        "{\"query\":\"table\",\"name\":\"ho_types\"}",
+        "{\"query\":\"figure\",\"name\":\"durations\"}",
+        "{\"query\":\"section\",\"name\":\"nope\"}",
+        "{\"query\":\"section\"}",
+        "{\"query\":\"window\",\"days\":1}",
+        "{\"query\":\"window\",\"days\":7}",
+        "{\"query\":\"window\",\"days\":3}",
+        "{\"query\":\"nope\"}",
+        "{\"name\":\"frame\"}",
+        "not json",
+        "{\"query\":\"shutdown\"}",
+    ] {
+        writer.write_all(format!("{query}\n").as_bytes()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let (expected, _) = handle_request(query, &view);
+        assert_eq!(line.strip_suffix('\n'), Some(expected.as_str()), "{query}");
+    }
     server.stop();
     assert!(server.shutdown_requested());
 }

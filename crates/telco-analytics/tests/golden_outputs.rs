@@ -1,8 +1,8 @@
 //! Golden-output regression suite: pins the paper-table outputs of a
 //! fixed-seed study against checked-in JSON snapshots, so any refactor
 //! that drifts a tracked metric — record counts, type mix, HOF rate,
-//! cause ranking — fails loudly instead of silently rewriting the
-//! reproduction's numbers.
+//! cause ranking, §6.3 model fits — fails loudly instead of silently
+//! rewriting the reproduction's numbers.
 //!
 //! To refresh after an *intentional* change:
 //!
@@ -92,14 +92,17 @@ fn golden_json(preset: &str, study: &Study) -> String {
 
 fn check_golden(preset: &str, config: SimConfig) {
     let study = Study::run(config);
-    let actual = golden_json(preset, &study);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/goldens")
-        .join(format!("study_{preset}.json"));
+    check_file(&format!("study_{preset}.json"), &golden_json(preset, &study));
+}
+
+/// Compare `actual` with `tests/goldens/<file>`, or rewrite the file
+/// under `UPDATE_GOLDENS`.
+fn check_file(file: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(file);
 
     if std::env::var_os("UPDATE_GOLDENS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &actual).unwrap();
+        std::fs::write(&path, actual).unwrap();
         eprintln!("golden updated: {}", path.display());
         return;
     }
@@ -122,7 +125,7 @@ fn check_golden(preset: &str, config: SimConfig) {
             }
         }
         panic!(
-            "study `{preset}` drifted from its golden ({}).\n\
+            "`{file}` drifted from its golden ({}).\n\
              If the change is intentional, refresh with UPDATE_GOLDENS=1 and \
              review the diff.\n--- expected ---\n{expected}\n--- actual ---\n{actual}",
             path.display()
@@ -133,6 +136,17 @@ fn check_golden(preset: &str, config: SimConfig) {
 #[test]
 fn golden_study_tiny() {
     check_golden("tiny", SimConfig::tiny());
+}
+
+/// The §6.3 / Appendix-B models of the tiny golden study, at full
+/// precision: every coefficient row, test statistic, summary, ECDF panel
+/// and the Random-Forest fit quality. Floats print in their shortest
+/// round-trip form, so one bit of drift in any fit fails the test.
+#[test]
+fn golden_models_tiny() {
+    let models = Study::run(SimConfig::tiny()).models();
+    let actual = serde_json::to_string_pretty(&models).expect("models serialize") + "\n";
+    check_file("models_tiny.json", &actual);
 }
 
 /// The tiny golden, reproduced from a spilled trace: the same study run

@@ -15,6 +15,7 @@ use telco_signaling::messages::HoType;
 use telco_stats::anova::{one_way_anova, tukey_hsd, AnovaResult, TukeyComparison};
 use telco_stats::desc::Summary;
 use telco_stats::ecdf::Ecdf;
+use telco_stats::forest::{FitQuality, ForestOptions, RandomForest};
 use telco_stats::kruskal::{kruskal_wallis, KruskalResult};
 use telco_stats::quantile_reg::{quantile_regression, QuantileFit, QuantileOptions};
 use telco_stats::regression::{ols, Design, OlsFit, Value};
@@ -83,7 +84,7 @@ pub struct HofModels {
     pub ecdf_filtered: Vec<Option<Ecdf>>,
     /// Appendix B — Random-Forest baseline quality on the full design
     /// (the paper reports RMSE/MAE "comparable" to the linear models).
-    pub forest_quality: telco_stats::forest::FitQuality,
+    pub forest_quality: FitQuality,
 }
 
 fn log_rate(o: &SectorDayObs) -> f64 {
@@ -164,6 +165,10 @@ fn full_design(obs: &[&SectorDayObs]) -> Design {
 
 impl HofModels {
     /// Run the whole §6.3 pipeline on a sector-day frame.
+    ///
+    /// The Appendix-B forest depends on no other result, so it is fitted
+    /// on a scoped worker thread while this thread runs the tests, linear
+    /// models and ECDFs; the output is the same whichever finishes first.
     pub fn compute(frame: &SectorDayFrame, opts: ModelingOptions) -> Self {
         // →2G cells are exempt from the cell floor: they are ~0.04% of the
         // dataset (paper, Appendix B) yet carry the headline →2G effect.
@@ -174,55 +179,7 @@ impl HofModels {
             .collect();
         assert!(obs.len() > 50, "too few observations ({}) for modeling", obs.len());
 
-        // --- Table 6 summaries. ---
-        let daily: Vec<f64> = obs.iter().map(|o| o.daily_hos as f64).collect();
-        let rates: Vec<f64> = obs.iter().map(|o| o.hof_rate_pct()).collect();
-        let summary_daily_hos = Summary::of(&daily).expect("nonempty");
-        let summary_hof_rate = Summary::of(&rates).expect("nonempty");
-
-        // --- Median per type + grouped log rates. ---
-        let mut by_type: [Vec<f64>; 3] = Default::default();
-        let mut by_type_log: [Vec<f64>; 3] = Default::default();
-        for o in &obs {
-            by_type[o.ho_type.index()].push(o.hof_rate_pct());
-            by_type_log[o.ho_type.index()].push(log_rate(o));
-        }
-        let median_rate_by_type = [
-            median_of(&mut by_type[0].clone()),
-            median_of(&mut by_type[1].clone()),
-            median_of(&mut by_type[2].clone()),
-        ];
-
-        // Groups for the tests: drop empty groups (tiny runs may lack 2G).
-        let log_groups: Vec<&[f64]> =
-            by_type_log.iter().filter(|g| !g.is_empty()).map(|g| g.as_slice()).collect();
-        let anova_ho_type = one_way_anova(&log_groups).expect("ANOVA groups valid");
-        let tukey_ho_type = tukey_hsd(&log_groups, &anova_ho_type);
-        let kruskal_ho_type = kruskal_wallis(&log_groups).expect("KW groups valid");
-
-        // Vendor and area groupings.
-        let mut by_vendor: [Vec<f64>; 4] = Default::default();
-        let mut by_area: [Vec<f64>; 2] = Default::default();
-        for o in &obs {
-            by_vendor[o.vendor.index()].push(log_rate(o));
-            by_area[o.area.index()].push(log_rate(o));
-        }
-        let vendor_groups: Vec<&[f64]> =
-            by_vendor.iter().filter(|g| g.len() > 1).map(|g| g.as_slice()).collect();
-        let anova_vendor = one_way_anova(&vendor_groups).expect("vendor groups valid");
-        let area_groups: Vec<&[f64]> =
-            by_area.iter().filter(|g| g.len() > 1).map(|g| g.as_slice()).collect();
-        let anova_area = one_way_anova(&area_groups).expect("area groups valid");
-
-        // --- Table 4: univariate log rate ~ HO type. ---
-        let uni_levels = HoTypeLevels::detect(obs.iter().copied());
-        let mut uni = Design::new().intercept().categorical("HO type", &uni_levels.labels);
-        for o in &obs {
-            uni.add(&[Value::Cat(uni_levels.of(o.ho_type))], log_rate(o));
-        }
-        let univariate = ols(&uni).expect("univariate model well-posed");
-
-        // --- Table 5: full covariates with the outlier filter. ---
+        // The outlier filter of Tables 5, 7 and 8 and the forest.
         let filtered: Vec<&SectorDayObs> = obs
             .iter()
             .copied()
@@ -232,65 +189,106 @@ impl HofModels {
                     && o.daily_hos <= opts.daily_bounds.1
             })
             .collect();
-        let full_model = ols(&full_design(&filtered)).expect("full model well-posed");
 
-        // --- Table 7: without →2G observations. ---
-        let no2g: Vec<&SectorDayObs> =
-            filtered.iter().copied().filter(|o| o.ho_type != HoType::To2g).collect();
-        let no_2g_model = ols(&full_design(&no2g)).expect("no-2G model well-posed");
+        std::thread::scope(|scope| {
+            let forest = scope.spawn(|| forest_quality(&filtered));
 
-        // --- Tables 8 & 9: quantile regressions on HO type only. ---
-        let taus = [0.2, 0.4, 0.6, 0.8];
-        let quantile_filtered = quantiles_on(&filtered, &taus);
-        let nonzero: Vec<&SectorDayObs> = obs.iter().copied().filter(|o| o.hofs > 0).collect();
-        let quantile_all = quantiles_on(&nonzero, &taus);
+            // --- Table 6 summaries. ---
+            let daily: Vec<f64> = obs.iter().map(|o| o.daily_hos as f64).collect();
+            let rates: Vec<f64> = obs.iter().map(|o| o.hof_rate_pct()).collect();
+            let summary_daily_hos = Summary::of(&daily).expect("nonempty");
+            let summary_hof_rate = Summary::of(&rates).expect("nonempty");
 
-        // --- Fig. 16 ECDFs. ---
-        let ecdfs = |subset: &[&SectorDayObs]| -> Vec<Option<Ecdf>> {
-            let mut groups: [Vec<f64>; 3] = Default::default();
-            for o in subset {
-                groups[o.ho_type.index()].push(o.hof_rate_pct());
+            // --- Median per type + grouped log rates. ---
+            let mut by_type: [Vec<f64>; 3] = Default::default();
+            let mut by_type_log: [Vec<f64>; 3] = Default::default();
+            for o in &obs {
+                by_type[o.ho_type.index()].push(o.hof_rate_pct());
+                by_type_log[o.ho_type.index()].push(log_rate(o));
             }
-            groups.into_iter().map(|g| (!g.is_empty()).then(|| Ecdf::new(&g))).collect()
-        };
-        let ecdf_all = ecdfs(&obs);
-        let ecdf_nonzero = ecdfs(&nonzero);
-        let ecdf_filtered = ecdfs(&filtered);
+            let median_rate_by_type = [
+                median_of(&mut by_type[0].clone()),
+                median_of(&mut by_type[1].clone()),
+                median_of(&mut by_type[2].clone()),
+            ];
 
-        // --- Appendix B: Random-Forest baseline (subsampled for cost). ---
-        let rf_sample: Vec<&SectorDayObs> = if filtered.len() > 20_000 {
-            let stride = filtered.len() / 20_000 + 1;
-            filtered.iter().step_by(stride).copied().collect()
-        } else {
-            filtered.clone()
-        };
-        let rf_design = full_design(&rf_sample);
-        let forest = telco_stats::forest::RandomForest::fit(
-            &rf_design,
-            telco_stats::forest::ForestOptions { n_trees: 20, max_depth: 8, ..Default::default() },
-        );
-        let forest_quality = forest.evaluate(&rf_design);
+            // Groups for the tests: drop empty groups (tiny runs may lack 2G).
+            let log_groups: Vec<&[f64]> =
+                by_type_log.iter().filter(|g| !g.is_empty()).map(|g| g.as_slice()).collect();
+            let anova_ho_type = one_way_anova(&log_groups).expect("ANOVA groups valid");
+            let tukey_ho_type = tukey_hsd(&log_groups, &anova_ho_type);
+            let kruskal_ho_type = kruskal_wallis(&log_groups).expect("KW groups valid");
 
-        HofModels {
-            n_observations: obs.len(),
-            summary_daily_hos,
-            summary_hof_rate,
-            median_rate_by_type,
-            anova_ho_type,
-            tukey_ho_type,
-            kruskal_ho_type,
-            anova_vendor,
-            anova_area,
-            univariate,
-            full_model,
-            no_2g_model,
-            quantile_filtered,
-            quantile_all,
-            ecdf_all,
-            ecdf_nonzero,
-            ecdf_filtered,
-            forest_quality,
-        }
+            // Vendor and area groupings.
+            let mut by_vendor: [Vec<f64>; 4] = Default::default();
+            let mut by_area: [Vec<f64>; 2] = Default::default();
+            for o in &obs {
+                by_vendor[o.vendor.index()].push(log_rate(o));
+                by_area[o.area.index()].push(log_rate(o));
+            }
+            let vendor_groups: Vec<&[f64]> =
+                by_vendor.iter().filter(|g| g.len() > 1).map(|g| g.as_slice()).collect();
+            let anova_vendor = one_way_anova(&vendor_groups).expect("vendor groups valid");
+            let area_groups: Vec<&[f64]> =
+                by_area.iter().filter(|g| g.len() > 1).map(|g| g.as_slice()).collect();
+            let anova_area = one_way_anova(&area_groups).expect("area groups valid");
+
+            // --- Table 4: univariate log rate ~ HO type. ---
+            let uni_levels = HoTypeLevels::detect(obs.iter().copied());
+            let mut uni = Design::new().intercept().categorical("HO type", &uni_levels.labels);
+            for o in &obs {
+                uni.add(&[Value::Cat(uni_levels.of(o.ho_type))], log_rate(o));
+            }
+            let univariate = ols(&uni).expect("univariate model well-posed");
+
+            // --- Table 5: full covariates with the outlier filter. ---
+            let full_model = ols(&full_design(&filtered)).expect("full model well-posed");
+
+            // --- Table 7: without →2G observations. ---
+            let no2g: Vec<&SectorDayObs> =
+                filtered.iter().copied().filter(|o| o.ho_type != HoType::To2g).collect();
+            let no_2g_model = ols(&full_design(&no2g)).expect("no-2G model well-posed");
+
+            // --- Tables 8 & 9: quantile regressions on HO type only. ---
+            let taus = [0.2, 0.4, 0.6, 0.8];
+            let quantile_filtered = quantiles_on(&filtered, &taus);
+            let nonzero: Vec<&SectorDayObs> = obs.iter().copied().filter(|o| o.hofs > 0).collect();
+            let quantile_all = quantiles_on(&nonzero, &taus);
+
+            // --- Fig. 16 ECDFs. ---
+            let ecdfs = |subset: &[&SectorDayObs]| -> Vec<Option<Ecdf>> {
+                let mut groups: [Vec<f64>; 3] = Default::default();
+                for o in subset {
+                    groups[o.ho_type.index()].push(o.hof_rate_pct());
+                }
+                groups.into_iter().map(|g| (!g.is_empty()).then(|| Ecdf::new(&g))).collect()
+            };
+            let ecdf_all = ecdfs(&obs);
+            let ecdf_nonzero = ecdfs(&nonzero);
+            let ecdf_filtered = ecdfs(&filtered);
+
+            HofModels {
+                n_observations: obs.len(),
+                summary_daily_hos,
+                summary_hof_rate,
+                median_rate_by_type,
+                anova_ho_type,
+                tukey_ho_type,
+                kruskal_ho_type,
+                anova_vendor,
+                anova_area,
+                univariate,
+                full_model,
+                no_2g_model,
+                quantile_filtered,
+                quantile_all,
+                ecdf_all,
+                ecdf_nonzero,
+                ecdf_filtered,
+                // A panic in the worker resurfaces here unchanged.
+                forest_quality: forest.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            }
+        })
     }
 
     /// Render Table 3 (the covariates).
@@ -407,6 +405,23 @@ fn median_of(xs: &mut [f64]) -> f64 {
     }
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite rates"));
     xs[xs.len() / 2]
+}
+
+/// Appendix B: the Random-Forest baseline on the full design of the
+/// outlier-filtered cells (subsampled for cost), scored in sample.
+fn forest_quality(filtered: &[&SectorDayObs]) -> FitQuality {
+    let rf_sample: Vec<&SectorDayObs> = if filtered.len() > 20_000 {
+        let stride = filtered.len() / 20_000 + 1;
+        filtered.iter().step_by(stride).copied().collect()
+    } else {
+        filtered.to_vec()
+    };
+    let rf_design = full_design(&rf_sample);
+    let forest = RandomForest::fit(
+        &rf_design,
+        ForestOptions { n_trees: 20, max_depth: 8, ..Default::default() },
+    );
+    forest.evaluate(&rf_design)
 }
 
 fn quantiles_on(obs: &[&SectorDayObs], taus: &[f64]) -> Vec<QuantileFit> {

@@ -28,18 +28,28 @@
 //! `"table"` and `"figure"` are accepted as aliases of `"section"` —
 //! paper tables and figures are exactly the top-level analyses of
 //! [`telco_analytics::SweepOutputs`].
+//!
+//! A request line longer than 64 KiB is answered with
+//! `{"ok":false,"error":"request line too long"}` and its connection is
+//! closed, so a client that never sends a newline holds a bounded buffer.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use serde::Value;
 
 use crate::engine::ServedView;
 
+/// The longest request line read, newline excluded. The longest valid
+/// request is under 100 bytes.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// The published view cell: a mutex around an `Arc`, locked only long
-/// enough to clone or replace the pointer.
+/// enough to clone or replace the pointer. Nothing can panic while the
+/// lock is held, so a poisoned lock still guards a whole `Arc` and is
+/// used as is.
 pub struct Published {
     view: Mutex<Arc<ServedView>>,
 }
@@ -52,12 +62,12 @@ impl Published {
 
     /// Atomically replace the served view.
     pub fn publish(&self, view: ServedView) {
-        *self.view.lock().expect("published view lock") = Arc::new(view);
+        *self.view.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(view);
     }
 
     /// The current view (cheap: one lock, one `Arc` clone).
     pub fn current(&self) -> Arc<ServedView> {
-        self.view.lock().expect("published view lock").clone()
+        Arc::clone(&self.view.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -107,6 +117,15 @@ impl<'v> Response<'v> {
     fn error(msg: &str) -> Self {
         let msg = serde_json::to_string(msg).unwrap_or_default();
         Response::whole(format!("{{\"ok\":false,\"error\":{msg}}}"))
+    }
+
+    /// Write the line and its newline, then flush. The payload goes from
+    /// the view to the socket without a copy.
+    fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+        for part in [self.head.as_bytes(), self.body.as_bytes(), self.tail.as_bytes(), b"\n"] {
+            writer.write_all(part)?;
+        }
+        writer.flush()
     }
 }
 
@@ -258,20 +277,32 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Room for the newline: a read this long without one is over the cap.
+        let cap = MAX_REQUEST_LINE as u64 + 1;
+        match reader.by_ref().take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        if line.len() > MAX_REQUEST_LINE {
+            // Close only after the error line and a FIN are on the wire,
+            // so the client reads the error and then end of stream.
+            let _ = Response::error("request line too long").write_to(&mut writer);
+            let _ = writer.get_ref().shutdown(Shutdown::Write);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(line) else { break };
+        let line = line.strip_suffix('\r').unwrap_or(line);
         if line.trim().is_empty() {
             continue;
         }
         let view = published.current();
-        let response = route(&line, &view);
-        // The payload goes from the view to the socket without a copy.
-        let written =
-            [response.head.as_bytes(), response.body.as_bytes(), response.tail.as_bytes(), b"\n"]
-                .iter()
-                .try_for_each(|part| writer.write_all(part));
-        if written.and_then(|()| writer.flush()).is_err() {
+        let response = route(line, &view);
+        if response.write_to(&mut writer).is_err() {
             break;
         }
         if response.stop {
@@ -360,6 +391,65 @@ mod tests {
         assert!(outputs.contains("no day committed yet"), "{outputs}");
         let (sec, _) = handle_request("{\"query\":\"section\",\"name\":\"x\"}", &v);
         assert!(sec.contains("no day committed yet"), "{sec}");
+    }
+
+    #[test]
+    fn poisoned_view_lock_still_serves_and_publishes() {
+        let published = Arc::new(Published::new(view()));
+        let holder = Arc::clone(&published);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.view.lock().unwrap();
+            panic!("lock holder panics");
+        })
+        .join();
+        assert!(panicked.is_err() && published.view.is_poisoned());
+        assert_eq!(published.current().records, 100);
+        published.publish(ServedView { records: 7, ..view() });
+        assert_eq!(published.current().records, 7);
+    }
+
+    #[test]
+    fn request_line_over_the_cap_is_refused_and_closed() {
+        let published = Arc::new(Published::new(view()));
+        let mut server = QueryServer::start(published, 0).unwrap();
+        let addr = server.addr();
+
+        // A line of exactly the cap is read and answered; the connection
+        // stays open.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writer.write_all(&[vec![b' '; MAX_REQUEST_LINE - 1], b"x\n".to_vec()].concat()).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "{\"ok\":false,\"error\":\"request is not valid JSON\"}\n");
+        writer.write_all(b"{\"query\":\"status\"}\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("\"records\":100"), "{line}");
+        // Hang up, or `stop` would wait on this connection's handler.
+        drop((reader, writer));
+
+        // 1 MiB without a newline: the error line, then end of stream.
+        // The server stops reading at the cap, so the writer may never
+        // finish; its error is ignored.
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut flood = stream;
+        let sender = std::thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+        });
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, "{\"ok\":false,\"error\":\"request line too long\"}\n");
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "connection left open");
+        sender.join().unwrap();
+
+        // A fresh connection is served as before.
+        let status = query_line(addr, "{\"query\":\"status\"}").unwrap();
+        assert!(status.contains("\"records\":100"), "{status}");
+        server.stop();
     }
 
     #[test]

@@ -111,7 +111,8 @@ impl RankedColumns {
                 assert!(!column.iter().any(|v| v.is_nan()), "forest features must not be NaN");
                 let mut distinct = column.clone();
                 distinct.sort_by(f64::total_cmp);
-                // `==` merges -0.0 into 0.0, as the `<=` split test does.
+                // `dedup` compares with `==`, so -0.0 and 0.0 share a rank,
+                // as the `<=` split test cannot tell them apart.
                 distinct.dedup();
                 let ranks =
                     column.iter().map(|v| distinct.partition_point(|d| d < v) as u32).collect();

@@ -335,3 +335,64 @@ fn golden_study_tiny_orchestrated() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Record-level fingerprint of one simulated study: the record count,
+/// the records per day, the length and CRC-32 of the sealed v3 stream,
+/// and a CRC-32 over every mobility row. One record or row that moves,
+/// by a single bit, changes a checksum.
+fn trace_fingerprint(name: &str, config: SimConfig) -> String {
+    use telco_trace::crc32::Crc32;
+    use telco_trace::store::TraceWriter;
+
+    let world = telco_sim::World::build(&config);
+    let output = telco_sim::run_on_world(&world, &config);
+    let dataset = &output.dataset;
+
+    let mut per_day = vec![0u64; config.n_days as usize];
+    for r in dataset.records() {
+        per_day[r.day() as usize] += 1;
+    }
+    let mut writer = TraceWriter::new(Vec::new(), config.n_days).expect("v3 header");
+    writer.write_dataset(dataset).expect("v3 encode");
+    let stream = writer.finish().expect("v3 trailer");
+
+    let mut mobility = Crc32::new();
+    for m in &output.mobility {
+        mobility.update(&m.ue.0.to_le_bytes());
+        mobility.update(&m.day.to_le_bytes());
+        mobility.update(&m.sectors.to_le_bytes());
+        mobility.update(&m.gyration_km.to_bits().to_le_bytes());
+        mobility.update(&m.hos.to_le_bytes());
+        mobility.update(&m.hofs.to_le_bytes());
+        mobility.update(&m.messages.to_le_bytes());
+    }
+
+    let per_day: Vec<String> = per_day.iter().map(u64::to_string).collect();
+    format!(
+        "  \"{name}\": {{\n    \"records\": {},\n    \"per_day\": [{}],\n    \
+         \"v3_bytes\": {},\n    \"v3_crc32\": \"{:08x}\",\n    \
+         \"mobility_rows\": {},\n    \"mobility_crc32\": \"{:08x}\"\n  }}",
+        dataset.len(),
+        per_day.join(", "),
+        stream.len(),
+        telco_trace::crc32::crc32(&stream),
+        output.mobility.len(),
+        mobility.finish()
+    )
+}
+
+/// Pins the simulated trace record by record, on the tiny world and on
+/// the default country and topology (whose dense site grid the tiny
+/// world does not exercise). Any change to where a UE is served, or to
+/// what a handover records, moves a checksum here, even when the
+/// aggregates of `study_tiny.json` happen to hold.
+#[test]
+fn golden_trace_fingerprint() {
+    let default_world = SimConfig { n_ues: 200, n_days: 2, threads: 1, ..SimConfig::small() };
+    let actual = format!(
+        "{{\n{},\n{}\n}}\n",
+        trace_fingerprint("tiny", SimConfig::tiny()),
+        trace_fingerprint("small_200ues_2days", default_world)
+    );
+    check_file("trace_fingerprint.json", &actual);
+}

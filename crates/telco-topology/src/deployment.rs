@@ -175,14 +175,13 @@ impl Topology {
             }
         }
 
-        // Spatial indices per RAT over hosting sites.
-        let cell_km = (country.bounds.width().min(country.bounds.height()) / 40.0).max(2.0);
-        let mut site_index = [
-            GridIndex::new(country.bounds, cell_km),
-            GridIndex::new(country.bounds, cell_km),
-            GridIndex::new(country.bounds, cell_km),
-            GridIndex::new(country.bounds, cell_km),
-        ];
+        // Spatial indices per RAT over hosting sites. The cell is a third
+        // of max(min(w, h) / 40, 2 km), ~3.2 km on the default country:
+        // wider cells make each serving-sector query measure the distance
+        // to dozens of urban sites, narrower ones make it visit more empty
+        // cells (DESIGN.md §4). The answer does not depend on the width.
+        let cell_km = (country.bounds.width().min(country.bounds.height()) / 40.0).max(2.0) / 3.0;
+        let mut hosting: [Vec<(KmPoint, SiteId)>; 4] = Default::default();
         for site in &sites {
             let mut hosted = [false; 4];
             for &sid in &site.sectors {
@@ -190,10 +189,11 @@ impl Topology {
             }
             for rat in Rat::ALL {
                 if hosted[rat.index()] {
-                    site_index[rat.index()].insert(site.position, site.id);
+                    hosting[rat.index()].push((site.position, site.id));
                 }
             }
         }
+        let site_index = hosting.map(|items| GridIndex::build(country.bounds, cell_km, &items));
 
         Topology { config, sites, sectors, site_index }
     }
@@ -237,25 +237,21 @@ impl Topology {
     /// sector (by bearing → azimuth) of the nearest site hosting that RAT.
     /// `None` if no site hosts the RAT (possible in tiny configurations).
     pub fn serving_sector(&self, point: &KmPoint, rat: Rat) -> Option<SectorId> {
-        let (site_pos, &site_id) = self.site_index[rat.index()].nearest(point)?;
-        let site = self.site(site_id);
+        let (_, &site_id) = self.site_index[rat.index()].nearest(point)?;
+        self.facing_sector(self.site(site_id), point, rat)
+    }
+
+    /// The sector of `site` on `rat` whose azimuth is closest to the
+    /// bearing from the site to `point`.
+    fn facing_sector(&self, site: &CellSite, point: &KmPoint, rat: Rat) -> Option<SectorId> {
         // Bearing from site to UE, degrees clockwise from north.
-        let bearing = (point.x - site_pos.x).atan2(point.y - site_pos.y).to_degrees();
+        let bearing = (point.x - site.position.x).atan2(point.y - site.position.y).to_degrees();
         let bearing = if bearing < 0.0 { bearing + 360.0 } else { bearing };
         site.sectors.iter().copied().filter(|&s| self.sector(s).rat == rat).min_by_key(|&s| {
             let az = self.sector(s).azimuth_deg as f64;
             let diff = (bearing - az).abs();
             (diff.min(360.0 - diff) * 1000.0) as u64
         })
-    }
-
-    /// Sites hosting `rat` within `radius_km` of a point.
-    pub fn sites_near(&self, point: &KmPoint, rat: Rat, radius_km: f64) -> Vec<SiteId> {
-        self.site_index[rat.index()]
-            .within_radius(point, radius_km)
-            .into_iter()
-            .map(|(_, &id)| id)
-            .collect()
     }
 
     /// Sector counts per RAT.
@@ -313,6 +309,13 @@ fn sample_deployment_year(rat: Rat, rng: &mut ChaCha8Rng) -> u16 {
     }
     .min(2023)
 }
+
+/// The ring search the flat grid replaced, as a test oracle.
+#[cfg(test)]
+#[path = "../../telco-geo/src/grid/reference.rs"]
+mod grid_reference;
+#[cfg(test)]
+use telco_geo::coords::KmRect;
 
 #[cfg(test)]
 mod tests {
@@ -395,6 +398,59 @@ mod tests {
         assert_eq!(sec.rat, Rat::G4);
         if sec.site == site.id {
             assert_eq!(sec.azimuth_deg, 0);
+        }
+    }
+
+    /// On the default topology, for every RAT, `serving_sector` picks the
+    /// sector that the replaced ring search (at the replaced cell width)
+    /// leads to: at random positions over the country, and at samples
+    /// every 0.3 km along trips from postcode centroids, where the sites
+    /// are densest.
+    #[test]
+    fn serving_sector_matches_the_reference_ring_search() {
+        let (country, topo) = setup();
+        let bounds = country.bounds;
+        let cell_km = (bounds.width().min(bounds.height()) / 40.0).max(2.0);
+        let references = Rat::ALL.map(|rat| {
+            let hosting: Vec<(KmPoint, SiteId)> = topo
+                .sites()
+                .iter()
+                .filter(|site| site.sectors.iter().any(|&s| topo.sector(s).rat == rat))
+                .map(|site| (site.position, site.id))
+                .collect();
+            grid_reference::RingIndex::build(bounds, cell_km, &hosting)
+        });
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5e7);
+        let mut queries = Vec::new();
+        for _ in 0..4_000 {
+            queries.push(KmPoint::new(
+                rng.random_range(bounds.min.x..bounds.max.x),
+                rng.random_range(bounds.min.y..bounds.max.y),
+            ));
+        }
+        let postcodes = country.postcodes();
+        for _ in 0..150 {
+            let from = postcodes[rng.random_range(0..postcodes.len())].centroid;
+            let to = bounds.clamp(&KmPoint::new(
+                from.x + rng.random_range(-25.0..25.0),
+                from.y + rng.random_range(-25.0..25.0),
+            ));
+            let n = (from.distance_km(&to) / 0.3).ceil().max(1.0) as usize;
+            for k in 0..=n {
+                let f = k as f64 / n as f64;
+                queries
+                    .push(KmPoint::new(from.x + (to.x - from.x) * f, from.y + (to.y - from.y) * f));
+            }
+        }
+
+        for rat in Rat::ALL {
+            for q in &queries {
+                let want = references[rat.index()]
+                    .nearest(q)
+                    .and_then(|(_, &site)| topo.facing_sector(topo.site(site), q, rat));
+                assert_eq!(topo.serving_sector(q, rat), want, "{rat:?} at {q:?}");
+            }
         }
     }
 

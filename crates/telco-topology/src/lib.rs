@@ -3,8 +3,8 @@
 //! Radio network topology substrate: RAT generations, anonymized antenna
 //! vendors (V1–V4), cell sites and radio sectors, a deployment generator
 //! calibrated to the paper's published network anatomy (Fig. 3a, §4.1), the
-//! 2009–2023 deployment-history reconstruction, geometric neighbor
-//! relations, and the dynamic energy-saving shutdown policy (§5.1).
+//! 2009–2023 deployment-history reconstruction, the serving-sector lookup,
+//! and the dynamic energy-saving shutdown policy (§5.1).
 //!
 //! ## Example
 //!
@@ -28,7 +28,6 @@ pub mod deployment;
 pub mod elements;
 pub mod energy;
 pub mod evolution;
-pub mod neighbors;
 pub mod rat;
 pub mod vendor;
 
@@ -36,6 +35,5 @@ pub use deployment::{RatHosting, Topology, TopologyConfig};
 pub use elements::{CellSite, RadioSector, SectorId, SiteId};
 pub use energy::{EnergySavingPolicy, SLOTS_PER_DAY};
 pub use evolution::{DeploymentHistory, HISTORY_END, HISTORY_START};
-pub use neighbors::NeighborTable;
 pub use rat::Rat;
 pub use vendor::Vendor;

@@ -225,6 +225,7 @@ impl QueryServer {
                 let Ok(stream) = stream else { break };
                 let published = Arc::clone(&published);
                 let flag = Arc::clone(&flag);
+                reap_finished(&mut handlers);
                 handlers.push(std::thread::spawn(move || {
                     handle_connection(stream, &published, &flag, addr);
                 }));
@@ -262,6 +263,20 @@ impl QueryServer {
 impl Drop for QueryServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// Join and drop the handlers whose connections have ended. An exited
+/// thread that is never joined keeps its stack mapped, so without this a
+/// server's address space grew with every connection it had accepted.
+fn reap_finished(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -348,6 +363,32 @@ mod tests {
             retained_days: 2,
             sections: vec![("ho_types".into(), "{\"t\":1}".into())],
         }
+    }
+
+    #[test]
+    fn reaping_joins_finished_handlers_and_keeps_blocked_ones() {
+        let gate = Arc::new(Mutex::new(()));
+        let held = gate.lock().unwrap();
+        let blocked = Arc::clone(&gate);
+        let mut handlers = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || drop(blocked.lock())),
+            std::thread::spawn(|| {}),
+        ];
+        while handlers.iter().filter(|h| h.is_finished()).count() < 2 {
+            std::thread::yield_now();
+        }
+        // Joining the blocked handler here would hang the test.
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "the two finished handlers are removed");
+        assert!(!handlers[0].is_finished(), "the blocked handler is kept");
+
+        drop(held);
+        while !handlers[0].is_finished() {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
     }
 
     #[test]

@@ -5,11 +5,18 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
+use rand::{RngExt, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use telco_bench::bench_study;
-use telco_sim::{simulate_ue_day, SimConfig, SimOutput, SimScratch, World};
+use telco_devices::population::UeId;
+use telco_geo::coords::KmPoint;
+use telco_mobility::schedule::DayOfWeek;
+use telco_mobility::trajectory::DayTrajectory;
+use telco_sim::{sample_points_into, simulate_ue_day, SimConfig, SimOutput, SimScratch, World};
 use telco_stats::anova::one_way_anova;
 use telco_stats::ecdf::Ecdf;
 use telco_stats::regression::{ols, Design, Value};
+use telco_topology::rat::Rat;
 use telco_trace::io::{decode, encode};
 
 fn bench_simulation(c: &mut Criterion) {
@@ -22,14 +29,7 @@ fn bench_simulation(c: &mut Criterion) {
         b.iter(|| {
             let mut out = SimOutput::new(cfg.n_days);
             for ue in 0..64u32 {
-                simulate_ue_day(
-                    &world,
-                    &cfg,
-                    telco_devices::population::UeId(ue),
-                    0,
-                    &mut scratch,
-                    &mut out,
-                );
+                simulate_ue_day(&world, &cfg, UeId(ue), 0, &mut scratch, &mut out);
             }
             black_box(out.dataset.len())
         })
@@ -74,11 +74,64 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+/// The distinct positions the simulation samples along the trajectories
+/// of `n` UE-days of `world` (UE `i` on day `i mod n_days`), in walk order.
+fn trajectory_positions(world: &World, cfg: &SimConfig, n: u32) -> Vec<KmPoint> {
+    let mut trajectory = DayTrajectory::stationary(KmPoint::new(0.0, 0.0));
+    let mut samples = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut positions = Vec::new();
+    for ue in 0..n {
+        let day = ue % cfg.n_days;
+        let attrs = world.ue(UeId(ue));
+        // The engine's draws for this UE-day: the traffic jitter, then the
+        // trajectory.
+        let mut rng = ChaCha8Rng::seed_from_u64(cfg.ue_day_seed(ue, day));
+        let _jitter: f64 = rng.random_range(0.6..1.4);
+        DayTrajectory::generate_into(
+            attrs.profile,
+            attrs.home,
+            Some(attrs.work),
+            DayOfWeek::from_study_day(day),
+            &world.schedule,
+            &world.country.bounds,
+            &mut rng,
+            &mut trajectory,
+        );
+        sample_points_into(&trajectory, cfg.step_km, &mut samples);
+        for &(_, p) in &samples {
+            if seen.insert((p.x.to_bits(), p.y.to_bits())) {
+                positions.push(p);
+            }
+        }
+    }
+    positions
+}
+
 fn bench_spatial(c: &mut Criterion) {
     let study = bench_study();
     let topo = &study.data().world.topology;
     let bounds = study.data().world.country.bounds;
     let mut g = c.benchmark_group("spatial");
+
+    // The lookups the simulation makes, on the default country: every
+    // distinct trajectory sample of 200 small-preset UE-days.
+    let small = SimConfig::small();
+    let world = World::build(&small);
+    let positions = trajectory_positions(&world, &small, 200);
+    g.throughput(Throughput::Elements(positions.len() as u64));
+    g.bench_function("serving_sector_trajectories", |b| {
+        b.iter(|| {
+            let mut acc = 0u32;
+            for p in &positions {
+                if let Some(s) = world.topology.serving_sector(p, Rat::G4) {
+                    acc = acc.wrapping_add(s.0);
+                }
+            }
+            black_box(acc)
+        })
+    });
+
     g.throughput(Throughput::Elements(100));
     g.bench_function("serving_sector_100", |b| {
         b.iter(|| {
@@ -86,10 +139,7 @@ fn bench_spatial(c: &mut Criterion) {
             for i in 0..100 {
                 let x = bounds.min.x + bounds.width() * (i as f64 / 100.0);
                 let y = bounds.min.y + bounds.height() * ((i * 37 % 100) as f64 / 100.0);
-                if let Some(s) = topo.serving_sector(
-                    &telco_geo::coords::KmPoint::new(x, y),
-                    telco_topology::rat::Rat::G4,
-                ) {
+                if let Some(s) = topo.serving_sector(&KmPoint::new(x, y), Rat::G4) {
                     acc = acc.wrapping_add(s.0);
                 }
             }

@@ -33,7 +33,6 @@ pub struct GridIndex<T> {
 
 /// The best candidate so far: its squared distance, insertion index and
 /// slot in the cell-ordered arrays.
-#[derive(Clone, Copy)]
 struct Best {
     d2: f64,
     id: u32,

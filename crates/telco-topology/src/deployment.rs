@@ -179,7 +179,7 @@ impl Topology {
         // of max(min(w, h) / 40, 2 km), ~3.2 km on the default country:
         // wider cells make each serving-sector query measure the distance
         // to dozens of urban sites, narrower ones make it visit more empty
-        // cells (DESIGN.md §4). The answer does not depend on the width.
+        // cells (DESIGN.md §15). The answer does not depend on the width.
         let cell_km = (country.bounds.width().min(country.bounds.height()) / 40.0).max(2.0) / 3.0;
         let mut hosting: [Vec<(KmPoint, SiteId)>; 4] = Default::default();
         for site in &sites {
@@ -310,7 +310,8 @@ fn sample_deployment_year(rat: Rat, rng: &mut ChaCha8Rng) -> u16 {
     .min(2023)
 }
 
-/// The ring search the flat grid replaced, as a test oracle.
+/// The ring search the flat grid replaced, as a test oracle. It names
+/// `KmPoint` and `KmRect` through this module's imports.
 #[cfg(test)]
 #[path = "../../telco-geo/src/grid/reference.rs"]
 mod grid_reference;

@@ -184,7 +184,7 @@ fn dist2(a: &KmPoint, b: &KmPoint) -> f64 {
 /// The ring search this index replaced (`Vec<Vec>` cells, strict `<` in
 /// ring order), kept as a test oracle.
 #[cfg(test)]
-pub(crate) mod reference;
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -267,8 +267,9 @@ impl Drop for QueryServer {
 }
 
 /// Join and drop the handlers whose connections have ended. An exited
-/// thread that is never joined keeps its stack mapped, so without this a
-/// server's address space grew with every connection it had accepted.
+/// thread that is never joined keeps its stack mapped, so holding every
+/// handle until shutdown would grow the address space with each
+/// connection accepted.
 fn reap_finished(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
     let mut i = 0;
     while i < handlers.len() {

@@ -396,3 +396,63 @@ fn golden_trace_fingerprint() {
     );
     check_file("trace_fingerprint.json", &actual);
 }
+
+/// The byte length and CRC-32 of the served JSON of every section of one
+/// study sweep, and of the whole. One bit of drift in any figure, either
+/// sector frame or the ping-pong lens moves a checksum here.
+fn sweep_sections(name: &str, outputs: &telco_analytics::SweepOutputs) -> String {
+    fn pin(section: &str, value: &impl serde::Serialize) -> String {
+        let json = serde_json::to_string(value).expect("section serializes");
+        format!(
+            "    \"{section}\": {{\"bytes\": {}, \"crc32\": \"{:08x}\"}}",
+            json.len(),
+            telco_trace::crc32::crc32(json.as_bytes())
+        )
+    }
+    let rows = [
+        pin("trace_counts", &outputs.trace_counts),
+        pin("ho_types", &outputs.ho_types),
+        pin("durations", &outputs.durations),
+        pin("district_distribution", &outputs.district_distribution),
+        pin("population_inference", &outputs.population_inference),
+        pin("ho_density", &outputs.ho_density),
+        pin("temporal_evolution", &outputs.temporal_evolution),
+        pin("manufacturer_impact", &outputs.manufacturer_impact),
+        pin("hof_patterns", &outputs.hof_patterns),
+        pin("causes", &outputs.causes),
+        pin("pingpong", &outputs.pingpong),
+        pin("vendor_analysis", &outputs.vendor_analysis),
+        pin("frame", &outputs.frame),
+        pin("period_frame", &outputs.period_frame),
+        pin("whole", outputs),
+    ];
+    format!("  \"{name}\": {{\n{}\n  }}", rows.join(",\n"))
+}
+
+/// Pins every served section of the sequential in-memory sweep, on the
+/// tiny world and on 200 UEs × 2 days of the default country, and
+/// requires the span-parallel sweep of the spilled tiny trace to match.
+#[test]
+fn golden_sweep_sections() {
+    let tiny = SimConfig { threads: 1, ..SimConfig::tiny() };
+    let default_world = SimConfig { n_ues: 200, n_days: 2, threads: 1, ..SimConfig::small() };
+    let tiny_sections = sweep_sections("tiny", Study::run(tiny.clone()).sweep());
+    let actual = format!(
+        "{{\n{tiny_sections},\n{}\n}}\n",
+        sweep_sections("small_200ues_2days", Study::run(default_world).sweep())
+    );
+    check_file("sweep_sections.json", &actual);
+
+    let dir = std::env::temp_dir().join("telco_golden_sections");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = telco_sim::run_study_spilled(SimConfig { threads: 2, ..tiny }, &dir)
+        .expect("spilled study");
+    assert!(data.trace.is_spilled(), "study must stream from disk");
+    assert_eq!(
+        sweep_sections("tiny", Study::from_data(data).sweep()),
+        tiny_sections,
+        "2-thread spilled sweep drifted from the in-memory sections"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

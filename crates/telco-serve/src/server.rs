@@ -223,14 +223,22 @@ impl QueryServer {
                     break;
                 }
                 let Ok(stream) = stream else { break };
+                let Ok(socket) = stream.try_clone() else { continue };
                 let published = Arc::clone(&published);
                 let flag = Arc::clone(&flag);
                 reap_finished(&mut handlers);
-                handlers.push(std::thread::spawn(move || {
+                let handler = std::thread::spawn(move || {
                     handle_connection(stream, &published, &flag, addr);
-                }));
+                });
+                handlers.push((handler, socket));
             }
-            for handler in handlers {
+            // A handler waits in `read_until` for as long as its client
+            // stays connected. Shutting the read half down ends that wait
+            // with end of stream; a response being written still completes.
+            for (_, socket) in &handlers {
+                let _ = socket.shutdown(Shutdown::Read);
+            }
+            for (handler, _) in handlers {
                 let _ = handler.join();
             }
         });
@@ -266,15 +274,15 @@ impl Drop for QueryServer {
     }
 }
 
-/// Join and drop the handlers whose connections have ended. An exited
-/// thread that is never joined keeps its stack mapped, so holding every
-/// handle until shutdown would grow the address space with each
-/// connection accepted.
-fn reap_finished(handlers: &mut Vec<std::thread::JoinHandle<()>>) {
+/// Join and drop the handlers whose connections have ended, with what is
+/// kept beside each (its socket). An exited thread that is never joined
+/// keeps its stack mapped, so holding every handle until shutdown would
+/// grow the address space with each connection accepted.
+fn reap_finished<T>(handlers: &mut Vec<(std::thread::JoinHandle<()>, T)>) {
     let mut i = 0;
     while i < handlers.len() {
-        if handlers[i].is_finished() {
-            let _ = handlers.swap_remove(i).join();
+        if handlers[i].0.is_finished() {
+            let _ = handlers.swap_remove(i).0.join();
         } else {
             i += 1;
         }
@@ -372,20 +380,20 @@ mod tests {
         let held = gate.lock().unwrap();
         let blocked = Arc::clone(&gate);
         let mut handlers = vec![
-            std::thread::spawn(|| {}),
-            std::thread::spawn(move || drop(blocked.lock())),
-            std::thread::spawn(|| {}),
+            (std::thread::spawn(|| {}), ()),
+            (std::thread::spawn(move || drop(blocked.lock())), ()),
+            (std::thread::spawn(|| {}), ()),
         ];
-        while handlers.iter().filter(|h| h.is_finished()).count() < 2 {
+        while handlers.iter().filter(|(h, _)| h.is_finished()).count() < 2 {
             std::thread::yield_now();
         }
         // Joining the blocked handler here would hang the test.
         reap_finished(&mut handlers);
         assert_eq!(handlers.len(), 1, "the two finished handlers are removed");
-        assert!(!handlers[0].is_finished(), "the blocked handler is kept");
+        assert!(!handlers[0].0.is_finished(), "the blocked handler is kept");
 
         drop(held);
-        while !handlers[0].is_finished() {
+        while !handlers[0].0.is_finished() {
             std::thread::yield_now();
         }
         reap_finished(&mut handlers);
@@ -469,7 +477,6 @@ mod tests {
         line.clear();
         reader.read_line(&mut line).unwrap();
         assert!(line.contains("\"records\":100"), "{line}");
-        // Hang up, or `stop` would wait on this connection's handler.
         drop((reader, writer));
 
         // 1 MiB without a newline: the error line, then end of stream.
@@ -492,6 +499,32 @@ mod tests {
         let status = query_line(addr, "{\"query\":\"status\"}").unwrap();
         assert!(status.contains("\"records\":100"), "{status}");
         server.stop();
+    }
+
+    #[test]
+    fn stop_returns_with_an_idle_client_connected() {
+        let published = Arc::new(Published::new(view()));
+        let mut server = QueryServer::start(published, 0).unwrap();
+        // One served query proves the handler runs; then the client goes
+        // silent without hanging up.
+        let mut idle = TcpStream::connect(server.addr()).unwrap();
+        idle.write_all(b"{\"query\":\"status\"}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(idle.try_clone().unwrap()).read_line(&mut line).unwrap();
+        assert!(line.contains("\"records\":100"), "{line}");
+
+        let (stopped, done) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.stop();
+            let _ = stopped.send(());
+        });
+        assert!(
+            done.recv_timeout(std::time::Duration::from_secs(2)).is_ok(),
+            "stop() waited on a silent client"
+        );
+        stopper.join().unwrap();
+        let mut rest = Vec::new();
+        assert_eq!(idle.read_to_end(&mut rest).unwrap(), 0, "the server closed the connection");
     }
 
     #[test]

@@ -14,15 +14,13 @@ use telco_devices::types::{DeviceType, Manufacturer};
 use telco_geo::district::{DistrictId, Region};
 use telco_geo::postcode::AreaType;
 use telco_signaling::messages::HoType;
-use telco_sim::{StudyData, World};
+use telco_sim::World;
 use telco_topology::elements::SectorId;
 use telco_topology::vendor::Vendor;
 use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
 use telco_trace::hash::FxHashMap;
-use telco_trace::io::CodecError;
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
-use telco_trace::store::{ChunkIssue, TraceReader};
 
 use crate::sweep::{AnalysisPass, SweepCtx};
 
@@ -271,70 +269,6 @@ pub struct SectorDayFrame {
 }
 
 impl SectorDayFrame {
-    /// Build the daily frame from a study in one trace traversal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spilled trace fails with an I/O error mid-stream.
-    pub fn build(study: &StudyData) -> Self {
-        Self::build_windowed(study, 1)
-    }
-
-    /// Build the frame with `window_days`-long periods instead of single
-    /// days. The paper's sectors carry thousands of daily handovers; at
-    /// simulation scale the statistically equivalent observation pools
-    /// several days, so the per-cell HOF rate is not quantized to zero.
-    /// `daily_hos` is reported per day (window total / window length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spilled trace fails with an I/O error mid-stream.
-    pub fn build_windowed(study: &StudyData, window_days: u32) -> Self {
-        let mut builder = FrameBuilder::new(window_days);
-        study
-            .trace
-            .for_each_chunk(|chunk| builder.add_chunk(chunk))
-            .expect("trace stream failed while building the frame");
-        builder.finish(&study.world)
-    }
-
-    /// Build the frame from any record stream — one pass, memory bounded
-    /// by the number of distinct `(sector, window, type)` cells, never the
-    /// record count.
-    pub fn from_records(
-        world: &World,
-        records: impl IntoIterator<Item = HoRecord>,
-        window_days: u32,
-    ) -> Self {
-        let mut builder = FrameBuilder::new(window_days);
-        for r in records {
-            builder.add(&r);
-        }
-        builder.finish(world)
-    }
-
-    /// Stream a trace into a frame without materializing the dataset:
-    /// one pass, one chunk in memory at a time. Damaged chunks are
-    /// skipped with the issue left on the reader ([`TraceReader::issues`])
-    /// — check it afterwards if partial aggregation matters — while
-    /// underlying I/O failures abort the build.
-    pub fn from_reader<R: std::io::Read>(
-        world: &World,
-        reader: &mut TraceReader<R>,
-        window_days: u32,
-    ) -> Result<Self, ChunkIssue> {
-        let mut builder = FrameBuilder::new(window_days);
-        let mut chunk: Vec<HoRecord> = Vec::new();
-        while let Some(result) = reader.next_chunk_into(&mut chunk) {
-            match result {
-                Ok(()) => builder.add_chunk(&chunk),
-                Err(issue) if matches!(issue.error, CodecError::Io(_)) => return Err(issue),
-                Err(_) => {} // corruption: skip the chunk, keep aggregating
-            }
-        }
-        Ok(builder.finish(world))
-    }
-
     /// All observations.
     pub fn observations(&self) -> &[SectorDayObs] {
         &self.observations
@@ -448,15 +382,6 @@ impl FrameBuilder {
         let cell = &mut group[r.ho_type().index()];
         cell.0 += 1;
         cell.1 += u32::from(r.is_failure());
-    }
-
-    /// Fold a whole chunk; the single tight loop keeps the map access
-    /// pattern visible to the optimizer (no per-record closure frames).
-    #[inline]
-    pub(crate) fn add_chunk(&mut self, chunk: &[HoRecord]) {
-        for r in chunk {
-            self.add(r);
-        }
     }
 
     /// Fold a column batch: same cells as [`FrameBuilder::add`] per row,
@@ -681,16 +606,20 @@ impl AnalysisPass for FramePass {
 mod tests {
     use super::*;
     use crate::sweep::Sweep;
-    use telco_sim::{run_study, SimConfig};
+    use telco_sim::{run_study, SimConfig, StudyData};
 
     fn study() -> StudyData {
         run_study(SimConfig::tiny())
     }
 
+    fn frame(s: &StudyData, window: FrameWindow) -> SectorDayFrame {
+        Sweep::new(s).run(|| FramePass::new(window)).unwrap()
+    }
+
     #[test]
     fn frame_covers_every_record() {
         let s = study();
-        let frame = SectorDayFrame::build(&s);
+        let frame = frame(&s, FrameWindow::Daily);
         let d = s.trace.as_dataset().unwrap();
         let total_hos: u32 = frame.observations().iter().map(|o| o.hos).sum();
         assert_eq!(total_hos as usize, d.len());
@@ -701,8 +630,7 @@ mod tests {
     #[test]
     fn daily_totals_are_consistent() {
         let s = study();
-        let frame = SectorDayFrame::build(&s);
-        for o in frame.observations() {
+        for o in frame(&s, FrameWindow::Daily).observations() {
             assert!(o.daily_hos >= o.hos, "cell exceeds its sector-day total");
             assert!(o.hofs <= o.hos);
         }
@@ -722,52 +650,17 @@ mod tests {
     #[test]
     fn filter_bounds_apply() {
         let s = study();
-        let frame = SectorDayFrame::build(&s);
-        for o in frame.filtered(50.0, 2, 10_000) {
+        for o in frame(&s, FrameWindow::Daily).filtered(50.0, 2, 10_000) {
             assert!(o.hof_rate_pct() < 50.0);
             assert!(o.daily_hos >= 2);
         }
     }
 
     #[test]
-    fn from_reader_matches_in_memory_build() {
-        let s = study();
-        let in_mem = SectorDayFrame::build(&s);
-        // Round the trace through the store (columnar v3 by default) and
-        // aggregate the stream.
-        let dataset = s.trace.as_dataset().unwrap();
-        let mut w = telco_trace::store::TraceWriter::new(Vec::new(), s.config.n_days).unwrap();
-        w.write_dataset(dataset).unwrap();
-        let bytes = w.finish().unwrap();
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let streamed = SectorDayFrame::from_reader(&s.world, &mut reader, 1).unwrap();
-        assert_eq!(streamed.observations(), in_mem.observations());
-        assert!(reader.issues().is_empty());
-    }
-
-    #[test]
-    fn from_reader_skips_damaged_chunks() {
-        let s = study();
-        let dataset = s.trace.as_dataset().unwrap();
-        let mut w = telco_trace::store::TraceWriter::new(Vec::new(), s.config.n_days).unwrap();
-        w.write_dataset(dataset).unwrap();
-        let mut bytes = w.finish().unwrap();
-        // Corrupt one payload byte inside the first chunk.
-        bytes[10 + 16 + 40] ^= 0x40;
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let frame = SectorDayFrame::from_reader(&s.world, &mut reader, 1).unwrap();
-        let in_mem = SectorDayFrame::build(&s);
-        let streamed_hos: u32 = frame.observations().iter().map(|o| o.hos).sum();
-        let full_hos: u32 = in_mem.observations().iter().map(|o| o.hos).sum();
-        assert!(streamed_hos < full_hos, "damaged chunk was not skipped");
-        assert_eq!(reader.issues().len(), 1);
-    }
-
-    #[test]
     fn observations_sorted_and_deterministic() {
         let s = study();
-        let a = SectorDayFrame::build(&s);
-        let b = SectorDayFrame::build(&s);
+        let a = frame(&s, FrameWindow::Daily);
+        let b = frame(&s, FrameWindow::Daily);
         assert_eq!(a.observations(), b.observations());
         assert!(a
             .observations()
@@ -776,15 +669,19 @@ mod tests {
     }
 
     #[test]
-    fn frame_pass_matches_direct_build() {
+    fn period_frame_sums_the_daily_frame() {
         let s = study();
-        let direct = SectorDayFrame::build(&s);
-        let swept = Sweep::new(&s).run(|| FramePass::new(FrameWindow::Daily)).unwrap();
-        assert_eq!(swept.observations(), direct.observations());
-        let period = Sweep::new(&s).run(|| FramePass::new(FrameWindow::FullPeriod)).unwrap();
-        assert_eq!(period.observations().len(), {
-            let windowed = SectorDayFrame::build_windowed(&s, s.config.n_days);
-            windowed.observations().len()
-        });
+        let mut summed: std::collections::BTreeMap<(u32, usize), (u32, u32)> = Default::default();
+        for o in frame(&s, FrameWindow::Daily).observations() {
+            let cell = summed.entry((o.sector.0, o.ho_type.index())).or_default();
+            cell.0 += o.hos;
+            cell.1 += o.hofs;
+        }
+        let period = frame(&s, FrameWindow::FullPeriod);
+        assert_eq!(period.len(), summed.len());
+        for o in period.observations() {
+            assert_eq!(o.day, 0, "one window spans the whole study");
+            assert_eq!(summed[&(o.sector.0, o.ho_type.index())], (o.hos, o.hofs));
+        }
     }
 }

@@ -441,7 +441,8 @@ fn quantiles_on(obs: &[&SectorDayObs], taus: &[f64]) -> Vec<QuantileFit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::SectorDayFrame;
+    use crate::frame::{FramePass, FrameWindow};
+    use crate::sweep::Sweep;
     use telco_sim::{run_study, SimConfig};
 
     fn models() -> &'static HofModels {
@@ -454,7 +455,7 @@ mod tests {
             let study = run_study(cfg);
             // Full-period frame: the scale-equivalent of the paper's
             // sector-day unit (see the module docs).
-            let frame = SectorDayFrame::build_windowed(&study, study.config.n_days);
+            let frame = Sweep::new(&study).run(|| FramePass::new(FrameWindow::FullPeriod)).unwrap();
             HofModels::compute(&frame, ModelingOptions { min_cell_hos: 4, ..Default::default() })
         })
     }

@@ -20,14 +20,13 @@
 //!
 //! - **In-memory** sources split by record index; each worker transposes
 //!   its span window-by-window through its own batch.
-//! - **Spilled** v2/v3 sources split at chunk granularity: each worker
-//!   opens its own reader and walks the file from the start,
-//!   CRC-checking the frames before its span without decoding them and
-//!   decoding the chunks inside it. Every reader meets the same damage,
-//!   resyncs and sequence checks as a sequential read, so the spans tile
-//!   the healthy chunks exactly. The prefix walks cost CPU, not
-//!   wall-clock: they run while the earlier spans are swept. Legacy v1
-//!   streams have no chunk frames to cut at and stay one span.
+//! - **Spilled** sources split at chunk granularity: each worker opens
+//!   its own reader and walks the file from the start, CRC-checking the
+//!   frames before its span without decoding them and decoding the
+//!   chunks inside it. Every reader meets the same damage, resyncs and
+//!   sequence checks as a sequential read, so the spans tile the healthy
+//!   chunks exactly. The prefix walks cost CPU, not wall-clock: they run
+//!   while the earlier spans are swept.
 //!
 //! # Determinism of the span merge
 //!

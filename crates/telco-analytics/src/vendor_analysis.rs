@@ -173,6 +173,7 @@ impl AnalysisPass for VendorPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{FramePass, FrameWindow};
     use crate::sweep::Sweep;
     use telco_sim::{run_study, SimConfig};
 
@@ -181,7 +182,7 @@ mod tests {
         cfg.n_ues = 1_500;
         cfg.n_days = 3;
         let study = run_study(cfg);
-        let frame = SectorDayFrame::build(&study);
+        let frame = Sweep::new(&study).run(|| FramePass::new(FrameWindow::Daily)).unwrap();
         let type_counts = Sweep::new(&study).run(VendorPass::default).unwrap();
         VendorAnalysis::from_parts(&study.world, type_counts, &frame)
     }

@@ -169,21 +169,19 @@ fn golden_study_tiny_spilled_streaming() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Three-way byte-identity matrix: the same fixed-seed study run fully
-/// in memory, spilled through v2 chunk files, and spilled through v3
-/// columnar files must print the exact same golden bytes at every thread
-/// count. The on-disk codec and the sweep partitioning are transport
-/// details — neither may leak into a tracked metric.
+/// Byte-identity matrix: the same fixed-seed study run fully in memory
+/// and spilled through columnar trace files must print the exact same
+/// golden bytes at every thread count. The on-disk codec and the sweep
+/// partitioning are transport details — neither may leak into a tracked
+/// metric.
 #[test]
-fn golden_study_tiny_three_way_codec_matrix() {
-    use telco_trace::store::{VERSION2, VERSION3};
-
+fn golden_study_tiny_codec_matrix() {
     let expected = std::fs::read_to_string(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/study_tiny.json"),
     )
     .expect("tiny golden must exist (UPDATE_GOLDENS=1 on golden_study_tiny)");
 
-    let dir = std::env::temp_dir().join("telco_golden_three_way");
+    let dir = std::env::temp_dir().join("telco_golden_codec_matrix");
     let _ = std::fs::remove_dir_all(&dir);
 
     for threads in [1usize, 2, 8] {
@@ -197,19 +195,16 @@ fn golden_study_tiny_three_way_codec_matrix() {
             "in-memory study with {threads} threads drifted from the golden"
         );
 
-        for (version, name) in [(VERSION2, "v2"), (VERSION3, "v3")] {
-            let sub = dir.join(format!("t{threads}-{name}"));
-            std::fs::create_dir_all(&sub).unwrap();
-            let data = telco_sim::run_study_spilled_with_version(cfg.clone(), &sub, version)
-                .expect("spilled study");
-            assert!(data.trace.is_spilled(), "{name} study must stream from disk");
-            let study = Study::from_data(data);
-            assert_eq!(
-                golden_json("tiny", &study),
-                expected,
-                "spilled-{name} study with {threads} threads drifted from the golden"
-            );
-        }
+        let sub = dir.join(format!("t{threads}"));
+        std::fs::create_dir_all(&sub).unwrap();
+        let data = telco_sim::run_study_spilled(cfg, &sub).expect("spilled study");
+        assert!(data.trace.is_spilled(), "spilled study must stream from disk");
+        let study = Study::from_data(data);
+        assert_eq!(
+            golden_json("tiny", &study),
+            expected,
+            "spilled study with {threads} threads drifted from the golden"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use telco_analytics::{StudyPasses, Sweep, TraceCountsPass};
 use telco_sim::{run_study, SimConfig, StudyData, TraceSource};
-use telco_trace::store::{TraceWriter, CHUNK_MAGIC, V2_HEADER_BYTES, V3_FRAME_HEADER_BYTES};
+use telco_trace::store::{TraceWriter, CHUNK_MAGIC, HEADER_BYTES, V3_FRAME_HEADER_BYTES};
 
 /// Seal the study's in-memory records at `path` as a v3 trace of
 /// `chunk`-record chunks.
@@ -33,7 +33,7 @@ fn spilled(data: &StudyData, path: &Path) -> StudyData {
 /// Byte offset of every chunk frame of a clean v3 trace.
 fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
     let mut offsets = Vec::new();
-    let mut at = V2_HEADER_BYTES;
+    let mut at = HEADER_BYTES;
     while bytes[at..].starts_with(&CHUNK_MAGIC) {
         offsets.push(at);
         let len = u32::from_be_bytes(bytes[at + 12..at + 16].try_into().unwrap()) as usize;

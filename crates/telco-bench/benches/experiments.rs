@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use telco_analytics::modeling::{HofModels, ModelingOptions};
+use telco_analytics::{FramePass, FrameWindow, Sweep};
 use telco_bench::bench_study;
 
 fn bench_tables(c: &mut Criterion) {
@@ -24,10 +25,7 @@ fn bench_tables(c: &mut Criterion) {
     });
     g.bench_function("t6_frame_build", |b| {
         b.iter(|| {
-            black_box(telco_analytics::SectorDayFrame::build_windowed(
-                study.data(),
-                study.data().config.n_days,
-            ))
+            black_box(Sweep::new(study.data()).run(|| FramePass::new(FrameWindow::FullPeriod)))
         })
     });
     g.finish();

@@ -17,7 +17,8 @@ use telco_stats::anova::one_way_anova;
 use telco_stats::ecdf::Ecdf;
 use telco_stats::regression::{ols, Design, Value};
 use telco_topology::rat::Rat;
-use telco_trace::io::{decode, encode};
+use telco_trace::store::{TraceReader, TraceWriter};
+use telco_trace::SignalingDataset;
 
 fn bench_simulation(c: &mut Criterion) {
     let cfg = SimConfig::tiny();
@@ -63,6 +64,12 @@ fn bench_state_machine(c: &mut Criterion) {
     g.finish();
 }
 
+fn encode(dataset: &SignalingDataset) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), dataset.days).unwrap();
+    writer.write_dataset(dataset).unwrap();
+    writer.finish().unwrap()
+}
+
 fn bench_codec(c: &mut Criterion) {
     let dataset = bench_study().data().trace.as_dataset().expect("in-memory study");
     let encoded = encode(dataset);
@@ -70,7 +77,9 @@ fn bench_codec(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Bytes(encoded.len() as u64));
     g.bench_function("encode", |b| b.iter(|| black_box(encode(dataset))));
-    g.bench_function("decode", |b| b.iter(|| black_box(decode(encoded.clone()).unwrap())));
+    g.bench_function("decode", |b| {
+        b.iter(|| black_box(TraceReader::new(&encoded[..]).unwrap().read_to_dataset_strict()))
+    });
     g.finish();
 }
 

@@ -1,17 +1,17 @@
-//! `repro bench-trace` — measure the trace codecs: the slice-by-16
-//! CRC-32 kernel on its own, v1 single-buffer vs v2 row-chunked vs v3
-//! columnar write/read throughput, the one-pass out-of-core aggregation
-//! (`SectorDayFrame::from_reader`) over both chunked containers, and the
-//! v3 compression ratio. Writes the numbers to `BENCH_trace.json` at the
-//! repo root.
+//! `repro bench-trace` — measure the trace codec: the slice-by-16 CRC-32
+//! kernel on its own, write and streaming-read throughput of the chunked
+//! columnar store, the one-pass out-of-core aggregation (the daily
+//! `FramePass` swept from the spilled file at one thread), and the
+//! compression ratio over fixed-width rows. Writes the numbers to
+//! `BENCH_trace.json` at the repo root.
 
 use std::time::Instant;
 
-use telco_analytics::SectorDayFrame;
-use telco_sim::{run_study, SimConfig, StudyData};
+use telco_analytics::{FramePass, FrameWindow, Sweep};
+use telco_sim::{run_study, SimConfig, StudyData, TraceSource};
 use telco_trace::crc32::crc32;
-use telco_trace::io::{encode, read_file, write_file, RECORD_BYTES};
-use telco_trace::store::{write_file_v2, write_file_v3, TraceReader};
+use telco_trace::io::RECORD_BYTES;
+use telco_trace::store::{write_file_v3, TraceReader};
 
 struct Measurement {
     secs: f64,
@@ -56,10 +56,13 @@ pub fn run(config: SimConfig, preset_name: &str) {
     let dataset = data.trace.as_dataset().expect("in-memory study");
     let records = dataset.len() as u64;
     let payload_bytes = records * RECORD_BYTES as u64;
-    eprintln!("bench-trace: {records} records ({:.1} MB framed)", payload_bytes as f64 / 1e6);
+    eprintln!(
+        "bench-trace: {records} records ({:.1} MB as fixed-width rows)",
+        payload_bytes as f64 / 1e6
+    );
 
     // The CRC kernel in isolation: every chunked write and read funnels
-    // through it, so its ceiling bounds the containers below.
+    // through it, so its ceiling bounds the store below.
     let crc_buf = vec![0xA5u8; 64 << 20];
     let crc_bytes = crc_buf.len() as u64;
     let crc = measure("crc32 slice-by-16 (64 MiB)", crc_bytes, 0, || {
@@ -68,79 +71,54 @@ pub fn run(config: SimConfig, preset_name: &str) {
 
     let dir = std::env::temp_dir().join("telco-bench-trace");
     std::fs::create_dir_all(&dir).expect("create bench dir");
-    let v1_path = dir.join("bench.v1.tlho");
-    let v2_path = dir.join("bench.v2.tlho");
-    let v3_path = dir.join("bench.v3.tlho");
+    let path = dir.join("bench.tlho");
 
-    let v1_write = measure("v1 write", payload_bytes, records, || {
-        write_file(dataset, &v1_path).expect("v1 write");
+    let write = measure("v3 write", payload_bytes, records, || {
+        write_file_v3(dataset, &path).expect("v3 write");
     });
-    let v2_write = measure("v2 write", payload_bytes, records, || {
-        write_file_v2(dataset, &v2_path).expect("v2 write");
-    });
-    let v3_write = measure("v3 write", payload_bytes, records, || {
-        write_file_v3(dataset, &v3_path).expect("v3 write");
-    });
-    let v1_size = std::fs::metadata(&v1_path).expect("v1 metadata").len();
-    let v2_size = std::fs::metadata(&v2_path).expect("v2 metadata").len();
-    let v3_size = std::fs::metadata(&v3_path).expect("v3 metadata").len();
+    let file_bytes = std::fs::metadata(&path).expect("v3 metadata").len();
     eprintln!(
-        "bench-trace: file sizes: v1 {v1_size} v2 {v2_size} v3 {v3_size} \
-         (v3 compression {:.2}x over row bytes)",
-        payload_bytes as f64 / v3_size as f64
+        "bench-trace: file size {file_bytes} (compression {:.2}x over row bytes)",
+        payload_bytes as f64 / file_bytes as f64
     );
 
-    let v1_read = measure("v1 decode", payload_bytes, records, || {
-        let d = read_file(&v1_path).expect("v1 decode");
-        assert_eq!(d.len() as u64, records);
-    });
-    let v2_read = measure("v2 streaming read", payload_bytes, records, || {
-        let mut reader = TraceReader::open(&v2_path).expect("v2 open");
-        let d = reader.read_to_dataset_strict().expect("v2 read");
-        assert_eq!(d.len() as u64, records);
-    });
-    let v3_read = measure("v3 streaming read", payload_bytes, records, || {
-        let mut reader = TraceReader::open(&v3_path).expect("v3 open");
+    let read = measure("v3 streaming read", payload_bytes, records, || {
+        let mut reader = TraceReader::open(&path).expect("v3 open");
         let d = reader.read_to_dataset_strict().expect("v3 read");
         assert_eq!(d.len() as u64, records);
     });
-    let v2_aggregate = measure("v2 stream → frame", payload_bytes, records, || {
-        let mut reader = TraceReader::open(&v2_path).expect("v2 open");
-        let frame = SectorDayFrame::from_reader(&data.world, &mut reader, 1).expect("v2 aggregate");
+    // Sanity: the file round-trips to the same records.
+    let mut reader = TraceReader::open(&path).expect("v3 open");
+    let back = reader.read_to_dataset_strict().expect("v3 read");
+    assert_eq!(&back, dataset, "v3 round-trip drifted");
+
+    let mut config = data.config.clone();
+    config.threads = 1;
+    let spilled = StudyData {
+        config,
+        world: data.world.clone(),
+        output: data.output.clone(),
+        trace: TraceSource::spilled(&path, dataset.days, records),
+    };
+    let aggregate = measure("v3 stream → frame", payload_bytes, records, || {
+        let frame =
+            Sweep::new(&spilled).run(|| FramePass::new(FrameWindow::Daily)).expect("v3 aggregate");
         assert!(!frame.is_empty());
     });
-    let v3_aggregate = measure("v3 stream → frame", payload_bytes, records, || {
-        let mut reader = TraceReader::open(&v3_path).expect("v3 open");
-        let frame = SectorDayFrame::from_reader(&data.world, &mut reader, 1).expect("v3 aggregate");
-        assert!(!frame.is_empty());
-    });
-    // Sanity: all three containers round-trip to identical bits.
-    for path in [&v2_path, &v3_path] {
-        let mut reader = TraceReader::open(path).expect("chunked open");
-        let back = reader.read_to_dataset_strict().expect("chunked read");
-        assert_eq!(encode(&back), encode(dataset), "chunked round-trip drifted");
-    }
     let _ = std::fs::remove_dir_all(&dir);
 
     // The vendored serde_json is a stand-in, so format by hand.
     let json = format!(
         "{{\n  \"preset\": \"{preset_name}\",\n  \"records\": {records},\n  \
-         \"payload_bytes\": {payload_bytes},\n  \"v1_file_bytes\": {v1_size},\n  \
-         \"v2_file_bytes\": {v2_size},\n  \"v3_file_bytes\": {v3_size},\n  \
+         \"payload_bytes\": {payload_bytes},\n  \"v3_file_bytes\": {file_bytes},\n  \
          \"v3_compression_ratio\": {:.3},\n  \"crc32_slice16\": {},\n  \
-         \"v1_write\": {},\n  \"v2_write\": {},\n  \"v3_write\": {},\n  \
-         \"v1_decode\": {},\n  \"v2_streaming_read\": {},\n  \"v3_streaming_read\": {},\n  \
-         \"v2_stream_aggregate\": {},\n  \"v3_stream_aggregate\": {}\n}}\n",
-        payload_bytes as f64 / v3_size as f64,
+         \"v3_write\": {},\n  \"v3_streaming_read\": {},\n  \
+         \"v3_stream_aggregate\": {}\n}}\n",
+        payload_bytes as f64 / file_bytes as f64,
         crc.json(),
-        v1_write.json(),
-        v2_write.json(),
-        v3_write.json(),
-        v1_read.json(),
-        v2_read.json(),
-        v3_read.json(),
-        v2_aggregate.json(),
-        v3_aggregate.json()
+        write.json(),
+        read.json(),
+        aggregate.json()
     );
     std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
     eprintln!("bench-trace: wrote BENCH_trace.json");

@@ -11,8 +11,8 @@
 //! With no experiment argument, `all` is assumed. `--small` runs the
 //! 7-day/3k-UE configuration instead of the full 28-day study; `--tiny`
 //! is for smoke tests. `--spill-dir <dir>` runs the simulation out of
-//! core: per-worker runs spill to `<dir>` as v2 chunk files and are
-//! merged from disk, bounding trace memory (byte-identical output).
+//! core: per-worker runs spill to `<dir>` as chunk files and are merged
+//! from disk, bounding trace memory (byte-identical output).
 
 #![forbid(unsafe_code)]
 
@@ -150,8 +150,8 @@ fn main() {
     let t0 = std::time::Instant::now();
     let study = match &spill_dir {
         Some(dir) => {
-            // Out-of-core: per-worker runs spill to disk as v2 chunk
-            // files and merge from disk into one sealed trace; every
+            // Out-of-core: per-worker runs spill to disk as chunk files
+            // and merge from disk into one sealed trace; every
             // analysis below then streams it chunk-by-chunk — same
             // bytes, bounded memory.
             eprintln!("repro: spilling runs to {}", dir.display());

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro plan --dir <store> [--tiny|--small|--medium] [--shards N]
-//!            [--days-per-slice D] [--scenario NAME] [--v2]
+//!            [--days-per-slice D] [--scenario NAME]
 //! repro worker --dir <store> --entry N [--fault <spec>]
 //! repro orchestrate --dir <store> [--pool N] [--retries R]
 //!                   [--timeout-ms T] [--in-process] [--analyze]
@@ -20,7 +20,8 @@
 
 use telco_orchestrator::{
     load_manifest, open_study, orchestrate, run_entry, store_manifest, DirStore, FaultSpec,
-    Launcher, Manifest, OrchestrateOptions, PlanOptions, PoolOptions, WorkerError, EXIT_INJECTED,
+    Launcher, Manifest, OrchestrateError, OrchestrateOptions, PlanOptions, PoolOptions,
+    WorkerError, EXIT_INJECTED,
 };
 use telco_sim::SimConfig;
 
@@ -77,9 +78,6 @@ fn run_plan(args: &[String]) -> i32 {
     }
     if let Some(dps) = flag_value(args, "--days-per-slice").and_then(|v| v.parse().ok()) {
         opts.days_per_slice = dps;
-    }
-    if has_flag(args, "--v2") {
-        opts.trace_version = telco_trace::store::VERSION2;
     }
 
     let store = match store_at(args, true) {
@@ -181,8 +179,7 @@ fn run_orchestrate(args: &[String]) -> i32 {
     let report = match orchestrate(store.clone(), &opts) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("repro: orchestration failed: {e}");
-            eprintln!("repro: re-run the same command to resume from the completed shards");
+            eprintln!("{}", failure_message(&e));
             return 1;
         }
     };
@@ -215,4 +212,42 @@ fn run_orchestrate(args: &[String]) -> i32 {
         println!("{}", study.ho_types().table());
     }
     0
+}
+
+/// What `orchestrate` prints when it fails: the error, and a resume hint
+/// unless the stored plan itself is unusable (its error says to re-plan,
+/// and re-running would only fail the same way).
+fn failure_message(e: &OrchestrateError) -> String {
+    match e {
+        OrchestrateError::Manifest(_) => format!("repro: orchestration failed: {e}"),
+        _ => format!(
+            "repro: orchestration failed: {e}\n\
+             repro: re-run the same command to resume from the completed shards"
+        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retired_trace_version_asks_to_replan_not_resume() {
+        let dir = std::env::temp_dir().join("telco_cli_retired_manifest");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = std::sync::Arc::new(DirStore::create(&dir).unwrap());
+        let mut manifest = Manifest::plan(SimConfig::tiny(), &PlanOptions::default()).unwrap();
+        manifest.trace_version = 2;
+        store_manifest(store.as_ref(), &manifest).unwrap();
+
+        let err = orchestrate(store, &OrchestrateOptions::new(Launcher::InProcess)).unwrap_err();
+        let message = failure_message(&err);
+        assert_eq!(
+            message,
+            "repro: orchestration failed: trace_version 2 is no longer supported (only v3); \
+             re-plan the study"
+        );
+        assert!(!message.contains("resume"), "{message}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

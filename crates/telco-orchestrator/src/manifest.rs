@@ -17,6 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 use telco_sim::SimConfig;
+use telco_trace::store::VERSION3;
 
 /// Manifest schema version. Parsers tolerate unknown *fields* (forward
 /// compatibility); an unknown *format* number is a hard error.
@@ -54,7 +55,8 @@ pub struct Manifest {
     pub format: u32,
     /// Human-readable scenario label (e.g. the preset name).
     pub scenario: String,
-    /// Trace-store version shard files are written as (2 or 3).
+    /// Trace-store version shard files are written as: always
+    /// [`VERSION3`]. [`Manifest::from_json`] refuses any other.
     pub trace_version: u16,
     /// The complete simulation configuration. Shards are pure functions
     /// of this plus their entry coordinates.
@@ -70,20 +72,13 @@ pub struct PlanOptions {
     pub shards: usize,
     /// Study days per day slice (≥ 1; clamped to the study span).
     pub days_per_slice: u32,
-    /// Trace-store version for shard files (2 or 3).
-    pub trace_version: u16,
     /// Scenario label recorded on the manifest and every entry.
     pub scenario: String,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            shards: 4,
-            days_per_slice: u32::MAX,
-            trace_version: telco_trace::store::VERSION3,
-            scenario: "study".to_string(),
-        }
+        PlanOptions { shards: 4, days_per_slice: u32::MAX, scenario: "study".to_string() }
     }
 }
 
@@ -94,6 +89,9 @@ pub enum ManifestError {
     Parse(String),
     /// The manifest declares a format this build does not understand.
     UnknownFormat(u32),
+    /// The manifest names a trace-store version this build no longer
+    /// writes or reads.
+    UnsupportedTraceVersion(u16),
     /// The plan parameters were invalid.
     BadPlan(String),
 }
@@ -103,6 +101,10 @@ impl std::fmt::Display for ManifestError {
         match self {
             ManifestError::Parse(msg) => write!(f, "manifest does not parse: {msg}"),
             ManifestError::UnknownFormat(v) => write!(f, "unknown manifest format {v}"),
+            ManifestError::UnsupportedTraceVersion(v) => write!(
+                f,
+                "trace_version {v} is no longer supported (only v{VERSION3}); re-plan the study"
+            ),
             ManifestError::BadPlan(msg) => write!(f, "invalid plan: {msg}"),
         }
     }
@@ -123,14 +125,6 @@ impl Manifest {
         }
         if opts.days_per_slice == 0 {
             return Err(ManifestError::BadPlan("days_per_slice must be >= 1".into()));
-        }
-        if opts.trace_version != telco_trace::store::VERSION2
-            && opts.trace_version != telco_trace::store::VERSION3
-        {
-            return Err(ManifestError::BadPlan(format!(
-                "trace_version {} is not a chunked store version",
-                opts.trace_version
-            )));
         }
         if config.n_ues == 0 || config.n_days == 0 {
             return Err(ManifestError::BadPlan("config has no UE-days".into()));
@@ -162,7 +156,7 @@ impl Manifest {
         Ok(Manifest {
             format: MANIFEST_FORMAT,
             scenario: opts.scenario.clone(),
-            trace_version: opts.trace_version,
+            trace_version: VERSION3,
             config,
             entries,
         })
@@ -174,12 +168,16 @@ impl Manifest {
     }
 
     /// Parse a stored manifest. Unknown JSON fields are ignored (forward
-    /// compatibility); an unknown `format` is rejected.
+    /// compatibility); an unknown `format` or a `trace_version` other than
+    /// [`VERSION3`] is rejected.
     pub fn from_json(json: &str) -> Result<Manifest, ManifestError> {
         let manifest: Manifest =
             serde_json::from_str(json).map_err(|e| ManifestError::Parse(e.to_string()))?;
         if manifest.format != MANIFEST_FORMAT {
             return Err(ManifestError::UnknownFormat(manifest.format));
+        }
+        if manifest.trace_version != VERSION3 {
+            return Err(ManifestError::UnsupportedTraceVersion(manifest.trace_version));
         }
         Ok(manifest)
     }
@@ -249,16 +247,8 @@ mod tests {
         let mut cfg = SimConfig::tiny();
         cfg.n_ues = 10;
         cfg.n_days = 3;
-        Manifest::plan(
-            cfg,
-            &PlanOptions {
-                shards,
-                days_per_slice,
-                scenario: "tiny".into(),
-                ..PlanOptions::default()
-            },
-        )
-        .unwrap()
+        Manifest::plan(cfg, &PlanOptions { shards, days_per_slice, scenario: "tiny".into() })
+            .unwrap()
     }
 
     #[test]
@@ -301,7 +291,6 @@ mod tests {
         let bad = |opts: PlanOptions| Manifest::plan(cfg.clone(), &opts);
         assert!(bad(PlanOptions { shards: 0, ..PlanOptions::default() }).is_err());
         assert!(bad(PlanOptions { days_per_slice: 0, ..PlanOptions::default() }).is_err());
-        assert!(bad(PlanOptions { trace_version: 1, ..PlanOptions::default() }).is_err());
         let mut empty = cfg;
         empty.n_ues = 0;
         assert!(Manifest::plan(empty, &PlanOptions::default()).is_err());
@@ -322,11 +311,6 @@ mod tests {
             e.seed ^= 1;
         }
         assert_ne!(reseeded.entry_hash(0).unwrap(), h0);
-
-        // Same geometry, different trace version: different hash.
-        let mut v2 = m.clone();
-        v2.trace_version = telco_trace::store::VERSION2;
-        assert_ne!(v2.entry_hash(0).unwrap(), h0);
 
         // Config changes beyond the seed reach the hash through the
         // config fingerprint.

@@ -159,7 +159,7 @@ pub fn load_manifest(store: &dyn ShardStore) -> Result<Manifest, OrchestrateErro
 /// Complete means all of: the marker parses and carries this manifest's
 /// entry hash; the sidecar parses and carries the same hash; and the
 /// trace stream validates end-to-end (sealed trailer, every CRC good)
-/// with version, day span, and counts matching marker and manifest. A
+/// with day span and counts matching marker and manifest. A
 /// valid trailer alone is *not* enough — a flipped byte mid-payload
 /// leaves the trailer intact, which is exactly what the `corrupt` fault
 /// injects — so the authoritative check reads every chunk.
@@ -195,12 +195,6 @@ pub fn shard_complete(
     let trace = store.get(&trace_name(index)).map_err(|e| format!("no trace: {e}"))?;
     let summary =
         validate_stream(trace).map_err(|issue| format!("trace invalid: {:?}", issue.error))?;
-    if summary.version != manifest.trace_version {
-        return Err(format!(
-            "trace is v{}, manifest wants v{}",
-            summary.version, manifest.trace_version
-        ));
-    }
     if summary.days != manifest.config.n_days {
         return Err(format!(
             "trace spans {} days, study spans {}",
@@ -362,11 +356,7 @@ fn merge_all_shards(
             for name in group {
                 readers.push(TraceReader::new(store.get(name)?).map_err(invalid)?);
             }
-            let mut writer = TraceWriter::with_version(
-                store.put(&out)?,
-                manifest.config.n_days,
-                manifest.trace_version,
-            )?;
+            let mut writer = TraceWriter::new(store.put(&out)?, manifest.config.n_days)?;
             let records = merge_sorted_readers_to_writer(readers, &mut writer)?;
             let chunks = writer.chunks_written();
             let mut sink = writer.finish()?;

@@ -212,11 +212,7 @@ pub fn run_entry(
     // per study day (mirroring TraceWriter::write_dataset, unrolled here
     // so the crash fault can count committed chunk frames).
     let trace = trace_name(index);
-    let mut writer = TraceWriter::with_version(
-        store.put(&trace)?,
-        manifest.config.n_days,
-        manifest.trace_version,
-    )?;
+    let mut writer = TraceWriter::new(store.put(&trace)?, manifest.config.n_days)?;
     let records = out.dataset.records();
     let mut start = 0usize;
     while start < records.len() {

@@ -53,11 +53,9 @@ pub fn planned_store(
 ) -> Arc<DirStore> {
     let dir = temp_dir(tag);
     let store = DirStore::create(dir).unwrap();
-    let manifest = Manifest::plan(
-        cfg.clone(),
-        &PlanOptions { shards, days_per_slice, scenario: tag.into(), ..PlanOptions::default() },
-    )
-    .unwrap();
+    let manifest =
+        Manifest::plan(cfg.clone(), &PlanOptions { shards, days_per_slice, scenario: tag.into() })
+            .unwrap();
     store_manifest(&store, &manifest).unwrap();
     Arc::new(store)
 }

@@ -9,7 +9,16 @@ mod common;
 use common::*;
 use telco_orchestrator::{open_study, orchestrate};
 use telco_sim::RunnerMode;
-use telco_trace::io::encode;
+use telco_trace::store::TraceWriter;
+use telco_trace::SignalingDataset;
+
+/// The dataset as a sealed trace stream: the byte form the matrix
+/// compares.
+fn encode(dataset: &SignalingDataset) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), dataset.days).expect("trace header");
+    writer.write_dataset(dataset).expect("trace encode");
+    writer.finish().expect("trace trailer")
+}
 
 #[test]
 fn shard_pool_matrix_reproduces_the_sequential_study() {

@@ -18,16 +18,8 @@ fn golden_manifest() -> Manifest {
     cfg.n_ues = 10;
     cfg.n_days = 3;
     cfg.threads = 1;
-    Manifest::plan(
-        cfg,
-        &PlanOptions {
-            shards: 3,
-            days_per_slice: 2,
-            scenario: "golden".into(),
-            ..PlanOptions::default()
-        },
-    )
-    .unwrap()
+    Manifest::plan(cfg, &PlanOptions { shards: 3, days_per_slice: 2, scenario: "golden".into() })
+        .unwrap()
 }
 
 #[test]
@@ -68,6 +60,19 @@ fn unknown_fields_are_tolerated_unknown_format_is_not() {
     // And garbage is a parse error, not a panic.
     assert!(matches!(Manifest::from_json("{]"), Err(ManifestError::Parse(_))));
     assert!(matches!(Manifest::from_json("{}"), Err(ManifestError::Parse(_))));
+}
+
+#[test]
+fn retired_trace_version_is_refused_by_name() {
+    let json = golden_manifest().to_json();
+    let v2 = json.replacen("\"trace_version\": 3", "\"trace_version\": 2", 1);
+    assert_ne!(v2, json);
+    let err = Manifest::from_json(&v2).unwrap_err();
+    assert_eq!(err, ManifestError::UnsupportedTraceVersion(2));
+    assert_eq!(
+        err.to_string(),
+        "trace_version 2 is no longer supported (only v3); re-plan the study"
+    );
 }
 
 #[test]

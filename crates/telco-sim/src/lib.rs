@@ -38,8 +38,7 @@ pub use engine::{sample_points, sample_points_into, simulate_ue_day, SimScratch}
 pub use output::{RatLedger, SimOutput, UeDayMobility};
 pub use runner::{
     run_on_world, run_on_world_chunked, run_on_world_spilled, run_on_world_spilled_chunked,
-    run_on_world_spilled_with_version, run_shard, run_study, run_study_spilled,
-    run_study_spilled_with_version, RunnerMode, RunnerStats, StudyData, DEFAULT_UE_CHUNK,
+    run_shard, run_study, run_study_spilled, RunnerMode, RunnerStats, StudyData, DEFAULT_UE_CHUNK,
     MERGE_FAN_IN, SEQUENTIAL_UE_THRESHOLD,
 };
 pub use steal::{collect_runs, StealCursor};

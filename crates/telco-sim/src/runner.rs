@@ -19,7 +19,7 @@ use crossbeam::thread;
 use telco_devices::population::UeId;
 use telco_trace::dataset::SignalingDataset;
 use telco_trace::source::TraceSource;
-use telco_trace::store::{merge_run_files, merge_run_files_to_path, TraceWriter, VERSION3};
+use telco_trace::store::{merge_run_files, merge_run_files_to_path, TraceWriter};
 
 use crate::config::SimConfig;
 use crate::engine::{simulate_ue_day, SimScratch};
@@ -47,8 +47,7 @@ pub enum RunnerMode {
     /// Work-stealing workers draining the shared `(day, chunk)` cursor.
     WorkStealing,
     /// Work-stealing workers spilling per-item sorted runs to disk as
-    /// chunk files (columnar v3 by default), k-way merged from disk
-    /// (out-of-core).
+    /// chunk files, k-way merged from disk (out-of-core).
     Spilled,
     /// A fleet of worker *processes* each ran one manifest shard and the
     /// shard traces were merged out-of-core (the `telco-orchestrator`
@@ -100,28 +99,14 @@ pub fn run_study(config: SimConfig) -> StudyData {
 }
 
 /// [`run_study`] in out-of-core mode: per-item runs spill to `spill_dir`
-/// as columnar v3 chunk files and are k-way merged into one sealed v3
-/// trace file there, which [`StudyData::trace`] then streams
+/// as chunk files and are k-way merged into one sealed trace file there, which [`StudyData::trace`] then streams
 /// chunk-by-chunk — the full trace is never materialized in memory.
 /// Byte-identical to [`run_study`] (same canonical item-order merge);
 /// `spill_dir` must exist and outlive the returned study.
 pub fn run_study_spilled(config: SimConfig, spill_dir: &Path) -> std::io::Result<StudyData> {
-    run_study_spilled_with_version(config, spill_dir, VERSION3)
-}
-
-/// [`run_study_spilled`] with an explicit trace-store `version` (2 or 3)
-/// for the run files and the sealed study trace. Record streams are
-/// identical across versions; only the bytes on disk differ. Used by the
-/// determinism/golden suites and the bench matrix to compare codecs on
-/// the same study.
-pub fn run_study_spilled_with_version(
-    config: SimConfig,
-    spill_dir: &Path,
-    version: u16,
-) -> std::io::Result<StudyData> {
     let world = World::build(&config);
     let n_days = config.n_days;
-    let (mut output, paths) = spill_runs(&world, &config, DEFAULT_UE_CHUNK, spill_dir, version)?;
+    let (mut output, paths) = spill_runs(&world, &config, DEFAULT_UE_CHUNK, spill_dir)?;
     let out_path = spill_dir.join("study-trace.tlho");
     let records = merge_run_files_to_path(n_days, paths, spill_dir, MERGE_FAN_IN, &out_path)?;
     output.runner.mode = RunnerMode::Spilled;
@@ -288,8 +273,7 @@ pub fn run_shard(
 pub const MERGE_FAN_IN: usize = 128;
 
 /// [`run_on_world`] in spill-to-disk mode: each work item's sorted run is
-/// written to `spill_dir` as a columnar v3 chunk file instead of held in
-/// RAM, and the runs are k-way merged from disk (multi-pass above
+/// written to `spill_dir` as a chunk file instead of held in RAM, and the runs are k-way merged from disk (multi-pass above
 /// [`MERGE_FAN_IN`] files). Peak trace memory is bounded by one chunk per
 /// open run rather than the whole dataset.
 ///
@@ -316,21 +300,7 @@ pub fn run_on_world_spilled_chunked(
     chunk_ues: usize,
     spill_dir: &Path,
 ) -> std::io::Result<SimOutput> {
-    run_on_world_spilled_with_version(world, config, chunk_ues, spill_dir, VERSION3)
-}
-
-/// [`run_on_world_spilled_chunked`] with an explicit trace-store
-/// `version` (2 or 3) for the spilled run files. The merged dataset is
-/// identical either way — the version only selects the on-disk encoding
-/// of the intermediate runs.
-pub fn run_on_world_spilled_with_version(
-    world: &World,
-    config: &SimConfig,
-    chunk_ues: usize,
-    spill_dir: &Path,
-    version: u16,
-) -> std::io::Result<SimOutput> {
-    let (mut merged, paths) = spill_runs(world, config, chunk_ues, spill_dir, version)?;
+    let (mut merged, paths) = spill_runs(world, config, chunk_ues, spill_dir)?;
     merged.dataset = merge_run_files(config.n_days, paths, spill_dir, MERGE_FAN_IN)?;
     merged.runner.mode = RunnerMode::Spilled;
     Ok(merged)
@@ -345,7 +315,6 @@ fn spill_runs(
     config: &SimConfig,
     chunk_ues: usize,
     spill_dir: &Path,
-    version: u16,
 ) -> std::io::Result<(SimOutput, Vec<PathBuf>)> {
     assert!(chunk_ues > 0, "chunk size must be positive");
     let threads = if config.threads == 0 {
@@ -388,7 +357,7 @@ fn spill_runs(
                         }
                         out.dataset.sort();
                         let path = spill_dir.join(format!("run-{item:06}.tmp-trace"));
-                        let mut w = TraceWriter::create_with_version(&path, n_days, version)?;
+                        let mut w = TraceWriter::create(&path, n_days)?;
                         w.write_chunk(out.dataset.records())?;
                         w.finish()?;
                         out.dataset = SignalingDataset::new(n_days);
@@ -530,30 +499,6 @@ mod tests {
         // All run files and intermediates consumed.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spilled_v2_and_v3_stream_identical_records() {
-        let mut cfg = SimConfig::tiny();
-        cfg.n_ues = 120;
-        cfg.n_days = 2;
-        cfg.threads = 2;
-
-        let mut streams: Vec<Vec<telco_trace::record::HoRecord>> = Vec::new();
-        for version in [2u16, 3u16] {
-            let dir = std::env::temp_dir().join(format!("telco_runner_spill_v{version}_test"));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let study = run_study_spilled_with_version(cfg.clone(), &dir, version).unwrap();
-            assert!(study.trace.is_spilled());
-            let mut recs = Vec::new();
-            study.trace.for_each_chunk(|c| recs.extend_from_slice(c)).unwrap();
-            streams.push(recs);
-            drop(study);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        assert_eq!(streams[0], streams[1]);
-        assert!(!streams[0].is_empty());
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! the ledger's floating-point sums allowed to regroup (compared under a
 //! documented relative tolerance).
 
-use telco_sim::{
-    run_on_world_chunked, run_on_world_spilled_chunked, run_on_world_spilled_with_version,
-    RunnerMode, SimConfig, World,
-};
-use telco_trace::io::encode;
-use telco_trace::store::{VERSION2, VERSION3};
+use telco_sim::{run_on_world_chunked, run_on_world_spilled_chunked, RunnerMode, SimConfig, World};
+use telco_trace::store::TraceWriter;
+use telco_trace::SignalingDataset;
+
+/// The dataset as a sealed trace stream: the byte form the matrices
+/// compare.
+fn encode(dataset: &SignalingDataset) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), dataset.days).expect("trace header");
+    writer.write_dataset(dataset).expect("trace encode");
+    writer.finish().expect("trace trailer")
+}
 
 /// Relative tolerance for ledger sums: f64 addition is not associative, so
 /// chunked accumulation orders differ from the sequential (day, ue) order.
@@ -73,8 +78,8 @@ fn runner_matrix_is_deterministic() {
 fn spilled_matrix_matches_in_memory_byte_for_byte() {
     // The spill-to-disk path must be indistinguishable from the in-memory
     // path at the byte level: same encoded trace for every thread count,
-    // whether the runs lived in RAM or round-tripped through v2 chunk
-    // files and the on-disk merge.
+    // whether the runs lived in RAM or round-tripped through chunk files
+    // and the on-disk merge.
     let mut cfg = SimConfig::tiny();
     cfg.n_ues = 150;
     cfg.n_days = 2;
@@ -116,46 +121,6 @@ fn spilled_matrix_matches_in_memory_byte_for_byte() {
             assert_eq!(
                 out.mobility, reference.mobility,
                 "threads={threads} {label}: mobility diverged"
-            );
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn spilled_codec_versions_are_byte_identical() {
-    // The run files and the external merge may be written as v2 chunked
-    // frames or v3 columnar frames; the records that come back must be
-    // the same bytes either way, at every thread count. The codec version
-    // is a storage detail, not an input to the study.
-    let mut cfg = SimConfig::tiny();
-    cfg.n_ues = 150;
-    cfg.n_days = 2;
-    cfg.threads = 1;
-    let world = World::build(&cfg);
-    let reference = run_on_world_chunked(&world, &cfg, 32);
-    let reference_bytes = encode(&reference.dataset);
-
-    let dir = std::env::temp_dir().join("telco_determinism_codec");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    for threads in [1usize, 2, 8] {
-        for (version, name) in [(VERSION2, "v2"), (VERSION3, "v3")] {
-            let mut cfg = cfg.clone();
-            cfg.threads = threads;
-            let sub = dir.join(format!("t{threads}-{name}"));
-            std::fs::create_dir_all(&sub).unwrap();
-            let out = run_on_world_spilled_with_version(&world, &cfg, 32, &sub, version)
-                .expect("spilled run failed");
-            assert_eq!(out.runner.mode, RunnerMode::Spilled, "threads={threads} {name}");
-            assert_eq!(
-                encode(&out.dataset),
-                reference_bytes,
-                "threads={threads} {name}: encoded trace diverged from in-memory reference"
-            );
-            assert_eq!(
-                out.mobility, reference.mobility,
-                "threads={threads} {name}: mobility diverged"
             );
         }
     }

@@ -1,33 +1,20 @@
-//! Trace serialization: a compact binary codec plus JSON export.
+//! Trace serialization shared by the binary store and JSON export.
 //!
-//! The operator's daily trace weighs ≈8 TB (§3.1, Table 1); even at
-//! simulation scale a run produces millions of rows, so the binary format
-//! packs each record into a fixed 36-byte frame. Two container formats
-//! share that record layout: the v1 single-buffer format ([`encode`] /
-//! [`decode`], this module) and the v2 chunked streaming store
-//! ([`crate::store`]). JSON export serves human inspection and downstream
-//! tooling.
+//! The binary format is the chunked columnar store of [`crate::store`];
+//! this module holds what the whole crate shares about it (the stream
+//! magic and the typed [`CodecError`]) plus JSON export for human
+//! inspection and downstream tooling.
 
 // telco-lint: deny-swallowed-errors
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use telco_devices::population::UeId;
-use telco_signaling::causes::CauseCode;
-use telco_topology::elements::SectorId;
-use telco_topology::rat::Rat;
-
 use crate::dataset::SignalingDataset;
-use crate::record::{HoOutcome, HoRecord};
 
-/// Magic bytes opening a binary trace (any version).
+/// Magic bytes opening a binary trace.
 pub const MAGIC: [u8; 4] = *b"TLHO";
-/// The single-buffer format version this module encodes.
-pub const VERSION: u16 = 1;
-/// Bytes per encoded record (same layout in v1 and v2).
+/// Bytes per record of a fixed-width row: 8 timestamp, three 4-byte ids,
+/// two RAT bytes, a flags byte, 2 cause, 2 messages, 4 duration and 5
+/// reserved. Table 1 sizes the operator's daily trace at this width.
 pub const RECORD_BYTES: usize = 36;
-/// Bytes of the v1 header: magic + version + days + record count.
-pub const V1_HEADER_BYTES: usize = 18;
 
 /// Errors from decoding a binary trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,20 +27,20 @@ pub enum CodecError {
     BadVersion(u16),
     /// A field held an invalid enumeration value.
     BadField(&'static str),
-    /// A v2 chunk frame opened with neither the chunk nor the trailer
-    /// magic — the stream lost framing (the reader resyncs by scanning).
+    /// A chunk frame opened with neither the chunk nor the trailer magic —
+    /// the stream lost framing (the reader resyncs by scanning).
     BadChunkMagic,
-    /// A v2 chunk payload failed its CRC32 check.
+    /// A chunk payload failed its CRC32 check.
     ChecksumMismatch {
         /// Checksum stored in the chunk header.
         stored: u32,
         /// Checksum computed over the payload as read.
         computed: u32,
     },
-    /// A v2 stream ended without its trailer frame (e.g. a writer crashed
+    /// A stream ended without its trailer frame (e.g. a writer crashed
     /// before [`crate::store::TraceWriter::finish`]).
     MissingTrailer,
-    /// The v2 trailer disagrees with the stream: its own CRC failed, or
+    /// The trailer disagrees with the stream: its own CRC failed, or
     /// its totals do not match the chunks actually read.
     TrailerMismatch,
     /// The underlying reader failed.
@@ -83,153 +70,6 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn rat_code(rat: Rat) -> u8 {
-    rat.index() as u8
-}
-
-fn rat_from(code: u8) -> Result<Rat, CodecError> {
-    Rat::ALL.get(code as usize).copied().ok_or(CodecError::BadField("rat"))
-}
-
-/// Encode one record into its fixed 36-byte frame on the stack. The hot
-/// write loops append this with a single `extend_from_slice` — one
-/// capacity check per record instead of one per field, which is what
-/// closed the chunked-writer-vs-v1 throughput gap once the CRC stopped
-/// dominating.
-pub fn record_frame(r: &HoRecord) -> [u8; RECORD_BYTES] {
-    let mut b = [0u8; RECORD_BYTES];
-    b[0..8].copy_from_slice(&r.timestamp_ms.to_be_bytes());
-    b[8..12].copy_from_slice(&r.ue.0.to_be_bytes());
-    b[12..16].copy_from_slice(&r.source_sector.0.to_be_bytes());
-    b[16..20].copy_from_slice(&r.target_sector.0.to_be_bytes());
-    b[20] = rat_code(r.source_rat);
-    b[21] = rat_code(r.target_rat);
-    b[22] = u8::from(r.outcome == HoOutcome::Failure) | (u8::from(r.srvcc) << 1);
-    // b[23] reserved
-    b[24..26].copy_from_slice(&r.cause.map_or(0, |c| c.0).to_be_bytes());
-    b[26..28].copy_from_slice(&r.messages.to_be_bytes());
-    b[28..32].copy_from_slice(&r.duration_ms.to_be_bytes());
-    // b[32..36] reserved / alignment
-    b
-}
-
-/// Append the 36-byte frame of one record to `buf`. Shared by the v1
-/// encoder and the v2 chunk writer — both formats carry identical record
-/// frames.
-pub fn put_record(buf: &mut impl BufMut, r: &HoRecord) {
-    buf.put_slice(&record_frame(r));
-}
-
-/// Decode one 36-byte record frame. The caller must guarantee at least
-/// [`RECORD_BYTES`] remaining — this function validates field values, not
-/// buffer length.
-pub fn get_record(buf: &mut impl Buf) -> Result<HoRecord, CodecError> {
-    debug_assert!(buf.remaining() >= RECORD_BYTES);
-    let timestamp_ms = buf.get_u64();
-    let ue = UeId(buf.get_u32());
-    let source_sector = SectorId(buf.get_u32());
-    let target_sector = SectorId(buf.get_u32());
-    let source_rat = rat_from(buf.get_u8())?;
-    let target_rat = rat_from(buf.get_u8())?;
-    let flags = buf.get_u8();
-    let _reserved = buf.get_u8();
-    let cause_raw = buf.get_u16();
-    let messages = buf.get_u16();
-    let duration_ms = buf.get_f32();
-    let _pad = buf.get_u32();
-    let failed = flags & 1 != 0;
-    if failed && cause_raw == 0 {
-        return Err(CodecError::BadField("cause"));
-    }
-    Ok(HoRecord {
-        timestamp_ms,
-        ue,
-        source_sector,
-        target_sector,
-        source_rat,
-        target_rat,
-        outcome: if failed { HoOutcome::Failure } else { HoOutcome::Success },
-        cause: if failed { Some(CauseCode(cause_raw)) } else { None },
-        duration_ms,
-        srvcc: flags & 2 != 0,
-        messages,
-    })
-}
-
-/// Encode a dataset into the v1 single-buffer format.
-pub fn encode(dataset: &SignalingDataset) -> Bytes {
-    let mut buf = BytesMut::with_capacity(V1_HEADER_BYTES + dataset.len() * RECORD_BYTES);
-    buf.put_slice(&MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u32(dataset.days);
-    buf.put_u64(dataset.len() as u64);
-    for r in dataset.records() {
-        put_record(&mut buf, r);
-    }
-    buf.freeze()
-}
-
-/// Decode a v1 binary trace. For v2 chunked streams use
-/// [`crate::store::TraceReader`] (or [`read_file`], which dispatches on
-/// the version field).
-pub fn decode(mut data: Bytes) -> Result<SignalingDataset, CodecError> {
-    if data.remaining() < V1_HEADER_BYTES {
-        return Err(CodecError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = data.get_u16();
-    if version != VERSION {
-        return Err(CodecError::BadVersion(version));
-    }
-    let days = data.get_u32();
-    let count = data.get_u64();
-    // A corrupted count can be astronomically large; checked arithmetic
-    // (and comparing against the bytes actually present before any
-    // allocation) keeps this a typed error instead of an overflow panic
-    // or an OOM abort.
-    let need = usize::try_from(count)
-        .ok()
-        .and_then(|c| c.checked_mul(RECORD_BYTES))
-        .ok_or(CodecError::Truncated)?;
-    if data.remaining() < need {
-        return Err(CodecError::Truncated);
-    }
-    let count = count as usize;
-    let mut records = Vec::with_capacity(count);
-    for _ in 0..count {
-        records.push(get_record(&mut data)?);
-    }
-    Ok(SignalingDataset::from_records(days, records))
-}
-
-/// Write a dataset to a v1 binary trace file.
-pub fn write_file(dataset: &SignalingDataset, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, encode(dataset))
-}
-
-/// Read a dataset from a binary trace file, v1, v2, or v3 (dispatches on
-/// the version field). Any corruption surfaces as `InvalidData`; for
-/// skip-and-report streaming of damaged chunked files use
-/// [`crate::store::TraceReader`] directly.
-pub fn read_file(path: &std::path::Path) -> std::io::Result<SignalingDataset> {
-    let raw = std::fs::read(path)?;
-    let invalid = |e: CodecError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    if raw.len() >= 6 && raw[..4] == MAGIC {
-        let version = u16::from_be_bytes([raw[4], raw[5]]);
-        if version == crate::store::VERSION2 || version == crate::store::VERSION3 {
-            let mut reader = crate::store::TraceReader::new(&raw[..]).map_err(invalid)?;
-            return reader
-                .read_to_dataset_strict()
-                .map_err(|issue| std::io::Error::new(std::io::ErrorKind::InvalidData, issue));
-        }
-    }
-    decode(Bytes::from(raw)).map_err(invalid)
-}
-
 /// Export a dataset to pretty JSON (human inspection / small slices only).
 pub fn to_json(dataset: &SignalingDataset) -> serde_json::Result<String> {
     serde_json::to_string_pretty(dataset)
@@ -243,7 +83,12 @@ pub fn from_json(json: &str) -> serde_json::Result<SignalingDataset> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telco_signaling::causes::PrincipalCause;
+    use crate::record::{HoOutcome, HoRecord};
+    use crate::store::{TraceReader, TraceWriter};
+    use telco_devices::population::UeId;
+    use telco_signaling::causes::{CauseCode, PrincipalCause};
+    use telco_topology::elements::SectorId;
+    use telco_topology::rat::Rat;
 
     fn sample_dataset() -> SignalingDataset {
         let mut records = Vec::new();
@@ -266,25 +111,10 @@ mod tests {
         SignalingDataset::from_records(1, records)
     }
 
-    #[test]
-    fn binary_roundtrip_is_lossless() {
-        let d = sample_dataset();
-        let encoded = encode(&d);
-        assert_eq!(encoded.len(), V1_HEADER_BYTES + d.len() * RECORD_BYTES);
-        let decoded = decode(encoded).unwrap();
-        assert_eq!(d, decoded);
-    }
-
-    #[test]
-    fn record_frame_roundtrips_through_get_record() {
-        // The fixed-offset encoder and the field-wise decoder must agree
-        // byte for byte — this is what pins the frame layout.
-        for r in sample_dataset().records() {
-            let frame = record_frame(r);
-            let mut buf = &frame[..];
-            assert_eq!(&get_record(&mut buf).unwrap(), r);
-            assert!(buf.is_empty(), "frame length drifted");
-        }
+    fn encode(d: &SignalingDataset) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new(), d.days).unwrap();
+        w.write_dataset(d).unwrap();
+        w.finish().unwrap()
     }
 
     #[test]
@@ -297,64 +127,16 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut raw = BytesMut::from(&encode(&sample_dataset())[..]);
+        let mut raw = encode(&sample_dataset());
         raw[0] = b'X';
-        assert_eq!(decode(raw.freeze()).unwrap_err(), CodecError::BadMagic);
+        assert_eq!(TraceReader::new(&raw[..]).unwrap_err(), CodecError::BadMagic);
     }
 
     #[test]
-    fn bad_version_rejected() {
-        let mut raw = BytesMut::from(&encode(&sample_dataset())[..]);
-        raw[4] = 0xFF;
-        assert!(matches!(decode(raw.freeze()).unwrap_err(), CodecError::BadVersion(_)));
-    }
-
-    #[test]
-    fn truncation_rejected() {
+    fn short_header_rejected() {
         let raw = encode(&sample_dataset());
-        let cut = raw.slice(0..raw.len() - 5);
-        assert_eq!(decode(cut).unwrap_err(), CodecError::Truncated);
-        assert_eq!(decode(Bytes::from_static(b"TL")).unwrap_err(), CodecError::Truncated);
-    }
-
-    #[test]
-    fn absurd_count_is_truncated_not_panic() {
-        // A bit flip in the count field must not overflow `count * 36` or
-        // trigger a giant allocation.
-        let mut raw = BytesMut::from(&encode(&sample_dataset())[..]);
-        for i in 10..18 {
-            raw[i] = 0xFF; // count = u64::MAX
+        for cut in [0, 2, 4, 9] {
+            assert_eq!(TraceReader::new(&raw[..cut]).unwrap_err(), CodecError::Truncated);
         }
-        assert_eq!(decode(raw.freeze()).unwrap_err(), CodecError::Truncated);
-    }
-
-    #[test]
-    fn bad_rat_rejected() {
-        let mut raw = BytesMut::from(&encode(&sample_dataset())[..]);
-        // First record's source-RAT byte sits at offset 18 + 20.
-        raw[18 + 20] = 9;
-        assert_eq!(decode(raw.freeze()).unwrap_err(), CodecError::BadField("rat"));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let d = sample_dataset();
-        let dir = std::env::temp_dir().join("telco_trace_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.tlho");
-        write_file(&d, &path).unwrap();
-        assert_eq!(read_file(&path).unwrap(), d);
-        // Corrupt file surfaces as InvalidData.
-        std::fs::write(&path, b"garbage").unwrap();
-        assert_eq!(read_file(&path).unwrap_err().kind(), std::io::ErrorKind::InvalidData);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn empty_dataset_roundtrip() {
-        let d = SignalingDataset::new(28);
-        let decoded = decode(encode(&d)).unwrap();
-        assert_eq!(decoded.days, 28);
-        assert!(decoded.is_empty());
     }
 }

@@ -3,18 +3,20 @@
 //! Trace substrate: the handover-record schema carrying the six variables
 //! of the paper's mobility-management signaling dataset (§3.1), the
 //! in-memory dataset with the slicing primitives every analysis needs, a
-//! compact binary codec and JSON export, and the operator-side identity
-//! anonymizer (§3.1, Appendix A).
+//! compact chunked columnar store and JSON export, and the operator-side
+//! identity anonymizer (§3.1, Appendix A).
 //!
 //! ## Example
 //!
 //! ```
 //! use telco_trace::dataset::SignalingDataset;
-//! use telco_trace::io::{decode, encode};
+//! use telco_trace::store::{TraceReader, TraceWriter};
 //!
-//! let d = SignalingDataset::new(28);
-//! let bytes = encode(&d);
-//! assert_eq!(decode(bytes).unwrap().days, 28);
+//! let mut writer = TraceWriter::new(Vec::new(), 28).unwrap();
+//! writer.write_dataset(&SignalingDataset::new(28)).unwrap();
+//! let bytes = writer.finish().unwrap();
+//! let mut reader = TraceReader::new(&bytes[..]).unwrap();
+//! assert_eq!(reader.read_to_dataset_strict().unwrap().days, 28);
 //! ```
 
 // telco-lint: deny-nondeterminism
@@ -37,7 +39,7 @@ pub use anonymize::Anonymizer;
 pub use columnar::ColumnBatch;
 pub use dataset::SignalingDataset;
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
-pub use io::{decode, encode, from_json, read_file, to_json, write_file, CodecError};
+pub use io::{from_json, to_json, CodecError};
 pub use probe::{probe_trailer, validate_file, StreamSummary, TrailerProbe};
 pub use record::{DeviceRecord, HoOutcome, HoRecord, TopologyRecord};
 pub use snap::{decode_frame, encode_frame, SnapError, SnapReader, SnapWriter};

@@ -24,20 +24,16 @@ use std::path::Path;
 
 use crate::io::{CodecError, MAGIC};
 use crate::record::HoRecord;
-use crate::store::{
-    trailer_crc, ChunkIssue, TraceReader, TRAILER_MAGIC, V2_HEADER_BYTES, VERSION2, VERSION3,
-};
+use crate::store::{trailer_crc, ChunkIssue, TraceReader, HEADER_BYTES, TRAILER_MAGIC, VERSION3};
 
-/// Bytes of the v2/v3 trailer frame: magic + u64 records + u32 chunks +
-/// u32 crc.
+/// Bytes of the trailer frame: magic + u64 records + u32 chunks + u32
+/// crc.
 pub const TRAILER_BYTES: usize = 20;
 
-/// What a [`probe_trailer`] found: the stream identity fields the header
-/// declares plus the totals the trailer seals.
+/// What a [`probe_trailer`] found: the study-day span the header declares
+/// plus the totals the trailer seals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrailerProbe {
-    /// Format version from the header (2 or 3).
-    pub version: u16,
     /// Study-day span from the header.
     pub days: u32,
     /// Total records the trailer declares.
@@ -52,7 +48,8 @@ pub struct TrailerProbe {
 /// trailer — the signature a crashed or killed writer leaves behind —
 /// without reading the stream body. A probe success does *not* vouch for
 /// the chunk payloads; pair it with [`validate_file`] when the answer
-/// must be authoritative.
+/// must be authoritative. A header of any version but [`VERSION3`] is
+/// refused with [`CodecError::BadVersion`].
 pub fn probe_trailer(path: &Path) -> Result<TrailerProbe, CodecError> {
     let mut file = std::fs::File::open(path).map_err(|e| CodecError::Io(e.kind()))?;
     probe_trailer_seekable(&mut file)
@@ -62,19 +59,18 @@ pub fn probe_trailer(path: &Path) -> Result<TrailerProbe, CodecError> {
 pub fn probe_trailer_seekable<S: Read + Seek>(src: &mut S) -> Result<TrailerProbe, CodecError> {
     let io_err = |e: std::io::Error| CodecError::Io(e.kind());
     let total = src.seek(SeekFrom::End(0)).map_err(io_err)?;
-    if total < (V2_HEADER_BYTES + TRAILER_BYTES) as u64 {
+    if total < (HEADER_BYTES + TRAILER_BYTES) as u64 {
         return Err(CodecError::Truncated);
     }
     src.seek(SeekFrom::Start(0)).map_err(io_err)?;
-    let mut header = [0u8; V2_HEADER_BYTES];
+    let mut header = [0u8; HEADER_BYTES];
     src.read_exact(&mut header).map_err(io_err)?;
     if header[..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
     let version = u16::from_be_bytes([header[4], header[5]]);
-    if version != VERSION2 && version != VERSION3 {
-        // v1 streams have no trailer to probe; report the version rather
-        // than a misleading MissingTrailer.
+    if version != VERSION3 {
+        // Report the version rather than a misleading trailer error.
         return Err(CodecError::BadVersion(version));
     }
     let days = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
@@ -96,7 +92,7 @@ pub fn probe_trailer_seekable<S: Read + Seek>(src: &mut S) -> Result<TrailerProb
     let Some(totals) = trailer.get(4..16) else {
         return Err(CodecError::Truncated);
     };
-    if trailer_crc(version, days, totals) != stored_crc {
+    if trailer_crc(days, totals) != stored_crc {
         return Err(CodecError::TrailerMismatch);
     }
     let Some(records_bytes) = totals.get(..8).and_then(|b| <[u8; 8]>::try_from(b).ok()) else {
@@ -106,7 +102,6 @@ pub fn probe_trailer_seekable<S: Read + Seek>(src: &mut S) -> Result<TrailerProb
         return Err(CodecError::Truncated);
     };
     Ok(TrailerProbe {
-        version,
         days,
         records: u64::from_be_bytes(records_bytes),
         chunks: u32::from_be_bytes(chunks_bytes),
@@ -116,8 +111,6 @@ pub fn probe_trailer_seekable<S: Read + Seek>(src: &mut S) -> Result<TrailerProb
 /// What a strict validation scan established about an intact stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSummary {
-    /// Format version of the stream (1, 2, or 3).
-    pub version: u16,
     /// Study-day span from the header.
     pub days: u32,
     /// Records decoded.
@@ -152,7 +145,6 @@ pub fn validate_stream<R: Read>(src: R) -> Result<StreamSummary, ChunkIssue> {
         return Err(open(CodecError::MissingTrailer));
     }
     Ok(StreamSummary {
-        version: reader.version(),
         days: reader.days(),
         records: reader.records_read(),
         chunks: reader.chunks_read(),
@@ -186,27 +178,24 @@ mod tests {
         }
     }
 
-    fn sealed(version: u16, n: u64) -> Vec<u8> {
+    fn sealed(n: u64) -> Vec<u8> {
         let records = (0..n).map(|i| rec(i * 1000, i as u32)).collect();
         let dataset = SignalingDataset::from_records(2, records);
-        let mut w = TraceWriter::with_version(Vec::new(), 2, version).unwrap();
+        let mut w = TraceWriter::new(Vec::new(), 2).unwrap();
         w.write_dataset(&dataset).unwrap();
         w.finish().unwrap()
     }
 
     #[test]
     fn probe_accepts_sealed_streams() {
-        for version in [2u16, 3] {
-            let bytes = sealed(version, 500);
-            let probe = probe_trailer_seekable(&mut Cursor::new(&bytes)).unwrap();
-            assert_eq!(probe.version, version);
-            assert_eq!(probe.days, 2);
-            assert_eq!(probe.records, 500);
-            assert!(probe.chunks >= 1);
-            let summary = validate_stream(Cursor::new(&bytes)).unwrap();
-            assert_eq!(summary.records, 500);
-            assert_eq!(summary.chunks, u64::from(probe.chunks));
-        }
+        let bytes = sealed(500);
+        let probe = probe_trailer_seekable(&mut Cursor::new(&bytes)).unwrap();
+        assert_eq!(probe.days, 2);
+        assert_eq!(probe.records, 500);
+        assert!(probe.chunks >= 1);
+        let summary = validate_stream(Cursor::new(&bytes)).unwrap();
+        assert_eq!(summary.records, 500);
+        assert_eq!(summary.chunks, u64::from(probe.chunks));
     }
 
     #[test]
@@ -223,7 +212,7 @@ mod tests {
         // Chop the stream at every byte boundary: no prefix of a sealed
         // stream may probe as sealed (the final 20 bytes stop being a
         // valid trailer the moment anything is missing).
-        let bytes = sealed(3, 200);
+        let bytes = sealed(200);
         for cut in 0..bytes.len() - 1 {
             let probe = probe_trailer_seekable(&mut Cursor::new(&bytes[..cut]));
             assert!(probe.is_err(), "truncation at {cut}/{} probed as sealed", bytes.len());
@@ -234,7 +223,7 @@ mod tests {
     fn probe_detects_partial_trailer() {
         // The resume edge case: a writer killed mid-trailer leaves some
         // but not all trailer bytes. Every partial length must fail.
-        let bytes = sealed(2, 100);
+        let bytes = sealed(100);
         for missing in 1..=TRAILER_BYTES {
             let cut = &bytes[..bytes.len() - missing];
             match probe_trailer_seekable(&mut Cursor::new(cut)) {
@@ -246,7 +235,7 @@ mod tests {
 
     #[test]
     fn probe_detects_flipped_trailer_and_header() {
-        let bytes = sealed(3, 100);
+        let bytes = sealed(100);
         // Flip one bit in the days field: the trailer CRC seals the
         // header, so the probe must notice.
         let mut bad_header = bytes.clone();
@@ -270,7 +259,7 @@ mod tests {
         // The division of labour the orchestrator relies on: a byte
         // flipped inside a chunk payload leaves header and trailer
         // intact (probe passes) but must fail the strict scan.
-        let bytes = sealed(2, 400);
+        let bytes = sealed(400);
         let mut corrupt = bytes.clone();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0xFF;
@@ -289,21 +278,42 @@ mod tests {
 
     #[test]
     fn validation_rejects_missing_trailer() {
-        let bytes = sealed(2, 50);
+        let bytes = sealed(50);
         let cut = &bytes[..bytes.len() - TRAILER_BYTES];
         let err = validate_stream(Cursor::new(cut)).unwrap_err();
         assert_eq!(err.error, CodecError::MissingTrailer);
     }
 
     #[test]
-    fn probe_rejects_v1_and_garbage() {
+    fn probe_rejects_retired_versions_and_garbage() {
         let mut v1 = Vec::new();
         v1.extend_from_slice(&MAGIC);
         v1.extend_from_slice(&1u16.to_be_bytes());
         v1.extend_from_slice(&2u32.to_be_bytes());
         v1.extend_from_slice(&[0u8; 64]);
         assert_eq!(probe_trailer_seekable(&mut Cursor::new(&v1)), Err(CodecError::BadVersion(1)));
+        // A sealed stream whose header says v2: the probe refuses it by
+        // version before the trailer seal is checked.
+        let mut v2 = sealed(100);
+        v2[4..6].copy_from_slice(&2u16.to_be_bytes());
+        assert_eq!(probe_trailer_seekable(&mut Cursor::new(&v2)), Err(CodecError::BadVersion(2)));
         assert_eq!(probe_trailer_seekable(&mut Cursor::new(&[0u8; 64])), Err(CodecError::BadMagic));
         assert_eq!(probe_trailer_seekable(&mut Cursor::new(&[0u8; 4])), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn validation_reports_retired_versions() {
+        let dir = std::env::temp_dir().join("telco_probe_retired_versions");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.tlho");
+        for version in [1u16, 2] {
+            let mut bytes = sealed(100);
+            bytes[4..6].copy_from_slice(&version.to_be_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(probe_trailer(&path), Err(CodecError::BadVersion(version)));
+            let issue = validate_file(&path).unwrap_err();
+            assert_eq!(issue.error, CodecError::BadVersion(version));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
 //! Where a study's handover records live: the [`TraceSource`]
-//! abstraction over an in-memory [`SignalingDataset`] and a spilled v2
+//! abstraction over an in-memory [`SignalingDataset`] and a spilled
 //! trace file on disk.
 //!
 //! Every analysis traversal goes through this type, which instruments
@@ -19,11 +19,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::columnar::ColumnBatch;
+use crate::columnar::{decode_columns, ColumnBatch};
 use crate::dataset::SignalingDataset;
 use crate::io::CodecError;
 use crate::record::HoRecord;
-use crate::store::{decode_payload_columns, ChunkIssue, TraceReader};
+use crate::store::{ChunkIssue, TraceReader};
 
 /// Records per column batch when transposing an in-memory dataset for
 /// the columnar sweep: large enough to amortize the per-batch pass
@@ -32,11 +32,11 @@ use crate::store::{decode_payload_columns, ChunkIssue, TraceReader};
 /// per batch).
 pub const COLUMN_BATCH_RECORDS: usize = 1 << 14;
 
-/// A sealed v2 trace file on disk, with the span and record count its
+/// A sealed trace file on disk, with the span and record count its
 /// trailer declared.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpilledTrace {
-    /// The v2 trace file.
+    /// The trace file.
     pub path: PathBuf,
     /// Study-day span of the trace.
     pub days: u32,
@@ -69,7 +69,7 @@ enum SourceKind {
 }
 
 /// The record store behind a study: either the in-memory dataset the
-/// runner produced, or a spilled v2 trace streamed from disk. Carries a
+/// runner produced, or a spilled trace streamed from disk. Carries a
 /// traversal counter so the "one shared sweep" contract is testable.
 #[derive(Debug)]
 pub struct TraceSource {
@@ -109,7 +109,7 @@ impl TraceSource {
         }
     }
 
-    /// A source streaming records from a sealed v2 trace file.
+    /// A source streaming records from a sealed trace file.
     pub fn spilled(path: impl Into<PathBuf>, days: u32, records: u64) -> Self {
         TraceSource {
             kind: SourceKind::Spilled(SpilledTrace { path: path.into(), days, records }),
@@ -182,9 +182,8 @@ impl TraceSource {
 
     /// Traverse the trace once, in timestamp order, handing `f` one
     /// decoded [`ColumnBatch`] at a time — the native input of the
-    /// columnar analysis sweep. A spilled v3 source decodes straight
-    /// into the batch (no per-record row construction); a spilled v2
-    /// source transposes rows into the same shape; an in-memory source
+    /// columnar analysis sweep. A spilled source decodes straight into
+    /// the batch (no per-record row construction); an in-memory source
     /// transposes fixed-size record windows through one reused batch.
     /// Error semantics match [`TraceSource::for_each_chunk`]: damaged
     /// chunks are skipped, I/O failure aborts.
@@ -196,15 +195,9 @@ impl TraceSource {
     /// Cut the trace into `n` (at least one) contiguous spans balanced by
     /// record count, in trace order. The last span is open-ended, so the
     /// spans cover every healthy record whatever count a spilled trace
-    /// sealed. A legacy v1 stream has no chunk frames to cut at and stays
-    /// one span, as does a spilled trace that fails to open (its
-    /// traversal reports the error).
+    /// sealed.
     pub fn spans(&self, n: usize) -> Vec<Span> {
-        let splittable = match &self.kind {
-            SourceKind::InMemory(_) => true,
-            SourceKind::Spilled(s) => TraceReader::open(&s.path).is_ok_and(|r| r.version() != 1),
-        };
-        let n = if splittable { n.max(1) as u64 } else { 1 };
+        let n = n.max(1) as u64;
         let total = u128::from(self.len());
         // `total * k / n` never exceeds `total`, so narrowing is lossless.
         let cut = |k: u64| (total * u128::from(k) / u128::from(n)) as u64;
@@ -250,7 +243,6 @@ impl TraceSource {
             SourceKind::Spilled(s) => {
                 let open = |e| ChunkIssue { chunk: 0, offset: 0, error: e };
                 let mut reader = TraceReader::open(&s.path).map_err(open)?;
-                let version = reader.version();
                 let mut payload = Vec::new();
                 // Offset of the next healthy chunk's first record: the key
                 // every span's reader computes identically.
@@ -260,24 +252,13 @@ impl TraceSource {
                     if offset >= span.end {
                         break Ok(());
                     }
-                    // A v1 stream has no chunk frames: its batches (at most
-                    // 65 536 records) decode as they are read.
-                    let next = if version == 1 {
-                        reader
-                            .next_chunk_columns(&mut batch)
-                            .map(|r| r.map(|()| batch.len() as u32))
-                    } else {
-                        reader.next_chunk_raw(&mut payload).map(|r| r.map(|raw| raw.count))
-                    };
-                    match next {
+                    match reader.next_chunk_raw(&mut payload) {
                         None => break Ok(()),
-                        Some(Ok(count)) => {
+                        Some(Ok(raw)) => {
                             let first = offset;
-                            offset += u64::from(count);
+                            offset += u64::from(raw.count);
                             if first >= span.start
-                                && (version == 1
-                                    || decode_payload_columns(version, count, &payload, &mut batch)
-                                        .is_ok())
+                                && decode_columns(&payload, raw.count as usize, &mut batch).is_ok()
                             {
                                 batches += 1;
                                 f(&batch);
@@ -339,7 +320,7 @@ impl TraceSource {
 mod tests {
     use super::*;
     use crate::record::HoOutcome;
-    use crate::store::{write_file_v2, TraceWriter};
+    use crate::store::{write_file_v3, TraceWriter};
     use telco_devices::population::UeId;
     use telco_topology::elements::SectorId;
     use telco_topology::rat::Rat;
@@ -387,7 +368,7 @@ mod tests {
         let dir = std::env::temp_dir().join("telco_source_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.tlho");
-        write_file_v2(&d, &path).unwrap();
+        write_file_v3(&d, &path).unwrap();
         let src = TraceSource::spilled(&path, 3, d.len() as u64);
         assert!(src.is_spilled());
         assert_eq!(src.len(), d.len() as u64);
@@ -424,12 +405,17 @@ mod tests {
             }
             assert_eq!(src.sweeps(), 0, "a span is not a sweep");
         }
-
-        // A v1 stream has no chunk frames to cut at.
-        let v1 = dir.join("trace-v1.tlho");
-        crate::io::write_file(&d, &v1).unwrap();
-        assert_eq!(TraceSource::spilled(&v1, 3, d.len() as u64).spans(4), vec![Span::ALL]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unopenable_spilled_trace_reports_the_open_error() {
+        let path = std::env::temp_dir().join("telco_source_no_such_trace.tlho");
+        let _ = std::fs::remove_file(&path);
+        let src = TraceSource::spilled(&path, 3, 1_000);
+        assert_eq!(src.spans(2).len(), 2, "spans are cut from the sealed count alone");
+        let issue = src.for_each_columns_in(src.spans(2)[0], |_| {}).unwrap_err();
+        assert_eq!(issue.error, CodecError::Io(std::io::ErrorKind::NotFound));
     }
 
     #[test]

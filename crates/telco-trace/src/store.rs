@@ -1,24 +1,24 @@
-//! Formats v2 and v3: the chunked streaming trace store.
+//! The chunked streaming trace store: format v3, the only binary trace
+//! format.
 //!
 //! The paper's operator collects ≈8 TB of signaling per day (§3.1); no
-//! single-buffer codec survives that scale. Both chunked formats frame
-//! the trace as a sequence of independently verifiable chunks so writers
-//! can append incrementally and readers can stream with bounded memory:
+//! single-buffer codec survives that scale. The store frames the trace as
+//! a sequence of independently verifiable chunks so writers can append
+//! incrementally and readers can stream with bounded memory:
 //!
 //! ```text
-//! header   "TLHO" | u16 version | u32 days                      (10 bytes)
-//! v2 chunk "CHNK" | u32 seq | u32 count | u32 crc32 | payload   (16 + 36·count)
-//! v3 chunk "CHNK" | u32 seq | u32 count | u32 payload_len | u32 crc32 | payload
+//! header   "TLHO" | u16 version = 3 | u32 days                  (10 bytes)
+//! chunk    "CHNK" | u32 seq | u32 count | u32 payload_len | u32 crc32 | payload
 //! ...
 //! trailer  "TEND" | u64 records | u32 chunks | u32 crc32        (20 bytes)
 //! ```
 //!
-//! All integers are big-endian. A v2 chunk payload is `count` row-major
-//! 36-byte record frames identical to v1 ([`crate::io`]); a v3 payload
-//! is the columnar encoding of [`crate::columnar`] (per-column delta,
-//! dictionary, and bit-pack compression), whose size is not derivable
-//! from `count` — hence the explicit `payload_len` field. Writers emit
-//! v3 by default ([`TraceWriter::new`]); readers accept v1, v2, and v3.
+//! All integers are big-endian. A chunk payload is the columnar encoding
+//! of [`crate::columnar`] (per-column delta, dictionary, and bit-pack
+//! compression), whose size is not derivable from `count` — hence the
+//! explicit `payload_len` field. Readers refuse any other version by
+//! number ([`CodecError::BadVersion`]): versions 1 and 2, the retired
+//! row-oriented formats, included.
 //!
 //! Every byte of the stream is covered by a check: each chunk's CRC32
 //! covers its payload, chunk sequence numbers must run contiguously, and
@@ -26,7 +26,7 @@
 //! flip in the `days` field or a silently dropped tail is caught even
 //! though the header carries no checksum field of its own. A corrupted
 //! chunk is detected, skipped, and reported without aborting the read
-//! ([`TraceReader`]); a v3 decode failure names the offending column in
+//! ([`TraceReader`]); a decode failure names the offending column in
 //! its [`CodecError::BadField`] (the recovery unit is still the chunk —
 //! a record needs all its columns); a corrupted frame *header* loses
 //! framing, and the reader resynchronizes by scanning for the next chunk
@@ -44,23 +44,20 @@ use bytes::BufMut;
 use crate::columnar::{decode_columns, ColumnBatch, ColumnEncoder};
 use crate::crc32::crc32;
 use crate::dataset::SignalingDataset;
-use crate::io::{get_record, record_frame, CodecError, MAGIC, RECORD_BYTES};
+use crate::io::{CodecError, MAGIC};
 use crate::record::HoRecord;
 
-/// The row-oriented chunked streaming format version.
-pub const VERSION2: u16 = 2;
-/// The columnar chunked streaming format version ([`crate::columnar`]).
+/// The format version every stream carries: the columnar chunked store
+/// ([`crate::columnar`]).
 pub const VERSION3: u16 = 3;
-/// Bytes of the v2/v3 stream header.
-pub const V2_HEADER_BYTES: usize = 10;
+/// Bytes of the stream header (magic + version + days).
+pub const HEADER_BYTES: usize = 10;
 /// Magic opening every chunk frame.
 pub const CHUNK_MAGIC: [u8; 4] = *b"CHNK";
 /// Magic opening the trailer frame.
 pub const TRAILER_MAGIC: [u8; 4] = *b"TEND";
-/// Bytes of a v2 chunk frame header (magic + seq + count + crc).
-pub const FRAME_HEADER_BYTES: usize = 16;
-/// Bytes of a v3 chunk frame header (magic + seq + count + payload_len
-/// + crc).
+/// Bytes of a chunk frame header (magic + seq + count + payload_len +
+/// crc).
 pub const V3_FRAME_HEADER_BYTES: usize = 20;
 /// Upper bound on records per chunk (≈150 MB of payload). The writer
 /// splits larger chunks; the reader treats a larger declared count as
@@ -72,18 +69,18 @@ pub const MAX_CHUNK_RECORDS: u32 = 1 << 22;
 /// and by the streaming merge when writing its output.
 pub const DEFAULT_CHUNK_RECORDS: usize = 1 << 16;
 
-/// Upper bound on a v3 chunk's declared `payload_len`, per record plus
+/// Upper bound on a chunk's declared `payload_len`, per record plus
 /// fixed slack. The worst legitimate case (adversarially unsorted
 /// timestamps, all-distinct sectors, maximal varints) stays under ~50
 /// bytes/record; a declared length beyond this bound is treated as
 /// corruption, which keeps a flipped length field from driving a giant
 /// allocation.
 const MAX_V3_PAYLOAD_PER_RECORD: usize = 64;
-/// Fixed slack for the v3 payload bound: column-group framing plus the
+/// Fixed slack for the payload bound: column-group framing plus the
 /// dictionary headers of an empty or tiny chunk.
 const V3_PAYLOAD_SLACK: usize = 256;
 
-/// One problem found while reading a v2 stream: which frame, where, and
+/// One problem found while reading a stream: which frame, where, and
 /// what was wrong. Readers *report* issues and keep going (skipping the
 /// damaged chunk) rather than aborting the whole read.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,11 +116,11 @@ pub struct RawChunk {
 
 /// The trailer checksum: CRC32 over the canonical 10-byte header followed
 /// by the 12 trailer-total bytes. Sealing the header here is what makes a
-/// bit flip in the unchecksummed `days` (or `version`) field detectable.
-pub(crate) fn trailer_crc(version: u16, days: u32, totals: &[u8]) -> u32 {
-    let mut sealed = Vec::with_capacity(V2_HEADER_BYTES + 12);
+/// bit flip in the unchecksummed `days` field detectable.
+pub(crate) fn trailer_crc(days: u32, totals: &[u8]) -> u32 {
+    let mut sealed = Vec::with_capacity(HEADER_BYTES + 12);
     sealed.put_slice(&MAGIC);
-    sealed.put_u16(version);
+    sealed.put_u16(VERSION3);
     sealed.put_u32(days);
     sealed.put_slice(totals);
     crc32(&sealed)
@@ -131,77 +128,47 @@ pub(crate) fn trailer_crc(version: u16, days: u32, totals: &[u8]) -> u32 {
 
 // ---- writer ----------------------------------------------------------------
 
-/// Incremental chunked writer: appends chunk frames to any [`Write`]
-/// sink and seals the stream with a trailer on [`TraceWriter::finish`].
-/// Writes the columnar v3 format by default; [`TraceWriter::new_v2`] /
-/// [`TraceWriter::with_version`] select the row-oriented v2 format for
-/// compatibility. Dropping a writer without finishing leaves a
+/// Incremental chunked writer: appends columnar chunk frames to any
+/// [`Write`] sink and seals the stream with a trailer on
+/// [`TraceWriter::finish`]. Dropping a writer without finishing leaves a
 /// trailer-less stream, which readers flag as
 /// [`CodecError::MissingTrailer`] — the crash-detection property the
 /// trailer exists for.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     sink: W,
-    version: u16,
     days: u32,
     chunks: u32,
     records: u64,
     /// Payload scratch reused across chunks.
     payload: Vec<u8>,
-    /// Columnar encoder scratch (v3 only; idle for v2).
+    /// Columnar encoder scratch.
     encoder: ColumnEncoder,
 }
 
 impl TraceWriter<BufWriter<File>> {
-    /// Create (truncate) `path` and write a v3 header.
+    /// Create (truncate) `path` and write the stream header.
     pub fn create(path: &Path, days: u32) -> std::io::Result<Self> {
         Self::new(BufWriter::new(File::create(path)?), days)
-    }
-
-    /// Create (truncate) `path` and write a header for `version` (2 or 3).
-    pub fn create_with_version(path: &Path, days: u32, version: u16) -> std::io::Result<Self> {
-        Self::with_version(BufWriter::new(File::create(path)?), days, version)
     }
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Wrap `sink`, writing a v3 (columnar) header immediately.
-    pub fn new(sink: W, days: u32) -> std::io::Result<Self> {
-        Self::with_version(sink, days, VERSION3)
-    }
-
-    /// Wrap `sink`, writing a v2 (row-oriented) header immediately.
-    pub fn new_v2(sink: W, days: u32) -> std::io::Result<Self> {
-        Self::with_version(sink, days, VERSION2)
-    }
-
-    /// Wrap `sink`, writing a header for `version` (2 or 3) immediately.
-    pub fn with_version(mut sink: W, days: u32, version: u16) -> std::io::Result<Self> {
-        if version != VERSION2 && version != VERSION3 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                CodecError::BadVersion(version),
-            ));
-        }
-        let mut header = Vec::with_capacity(V2_HEADER_BYTES);
+    /// Wrap `sink`, writing the stream header immediately.
+    pub fn new(mut sink: W, days: u32) -> std::io::Result<Self> {
+        let mut header = Vec::with_capacity(HEADER_BYTES);
         header.put_slice(&MAGIC);
-        header.put_u16(version);
+        header.put_u16(VERSION3);
         header.put_u32(days);
         sink.write_all(&header)?;
         Ok(TraceWriter {
             sink,
-            version,
             days,
             chunks: 0,
             records: 0,
             payload: Vec::new(),
             encoder: ColumnEncoder::new(),
         })
-    }
-
-    /// Format version this writer emits (2 or 3).
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Append one chunk of records (split transparently if longer than
@@ -221,25 +188,18 @@ impl<W: Write> TraceWriter<W> {
     fn write_frame(&mut self, records: &[HoRecord]) -> std::io::Result<()> {
         let mut payload = std::mem::take(&mut self.payload);
         payload.clear();
-        if self.version == VERSION3 {
-            self.encoder.encode(records, &mut payload);
-        } else {
-            payload.reserve(records.len() * RECORD_BYTES);
-            for r in records {
-                payload.extend_from_slice(&record_frame(r));
-            }
-        }
+        self.encoder.encode(records, &mut payload);
         let result = self.put_frame(records.len() as u32, &payload, crc32(&payload));
         self.payload = payload;
         result
     }
 
     /// Append one pre-encoded chunk frame: `payload` must be a valid
-    /// payload for this writer's version holding exactly `count` records,
-    /// and `crc` its CRC32. This is the merge's raw passthrough — chunks
-    /// read from a same-version input stream (already CRC-verified by the
-    /// reader) are re-framed with a fresh sequence number and copied
-    /// through without a decode/re-encode round trip.
+    /// columnar payload holding exactly `count` records, and `crc` its
+    /// CRC32. This is the merge's raw passthrough — chunks read from an
+    /// input stream (already CRC-verified by the reader) are re-framed
+    /// with a fresh sequence number and copied through without a
+    /// decode/re-encode round trip.
     pub fn write_raw_chunk(&mut self, count: u32, payload: &[u8], crc: u32) -> std::io::Result<()> {
         self.put_frame(count, payload, crc)
     }
@@ -249,9 +209,7 @@ impl<W: Write> TraceWriter<W> {
         frame.put_slice(&CHUNK_MAGIC);
         frame.put_u32(self.chunks);
         frame.put_u32(count);
-        if self.version == VERSION3 {
-            frame.put_u32(payload.len() as u32);
-        }
+        frame.put_u32(payload.len() as u32);
         frame.put_u32(crc);
         self.sink.write_all(&frame)?;
         self.sink.write_all(payload)?;
@@ -287,7 +245,7 @@ impl<W: Write> TraceWriter<W> {
         trailer.put_slice(&TRAILER_MAGIC);
         trailer.put_u64(self.records);
         trailer.put_u32(self.chunks);
-        let crc = trailer_crc(self.version, self.days, &trailer[4..16]);
+        let crc = trailer_crc(self.days, &trailer[4..16]);
         trailer.put_u32(crc);
         self.sink.write_all(&trailer)?;
         self.sink.flush()?;
@@ -305,17 +263,7 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Write a dataset to a v2 (row-oriented) chunked trace file (one chunk
-/// per day).
-pub fn write_file_v2(dataset: &SignalingDataset, path: &Path) -> std::io::Result<()> {
-    let mut w = TraceWriter::create_with_version(path, dataset.days, VERSION2)?;
-    w.write_dataset(dataset)?;
-    w.finish()?;
-    Ok(())
-}
-
-/// Write a dataset to a v3 (columnar) chunked trace file (one chunk per
-/// day).
+/// Write a dataset to a trace file (one chunk per day).
 pub fn write_file_v3(dataset: &SignalingDataset, path: &Path) -> std::io::Result<()> {
     let mut w = TraceWriter::create(path, dataset.days)?;
     w.write_dataset(dataset)?;
@@ -323,43 +271,13 @@ pub fn write_file_v3(dataset: &SignalingDataset, path: &Path) -> std::io::Result
     Ok(())
 }
 
-// telco-lint: deny-panic(begin)
-/// Decode one CRC-verified chunk payload (as produced by
-/// [`TraceReader::next_chunk_raw`]) into a [`ColumnBatch`], dispatching
-/// on the stream version: v3 payloads decode column-wise, v2 payloads
-/// are transposed row-by-row. The span sweep reads every frame raw and
-/// decodes only the chunks inside its span, so readers of different
-/// spans count record offsets the same way.
-pub fn decode_payload_columns(
-    version: u16,
-    count: u32,
-    payload: &[u8],
-    out: &mut ColumnBatch,
-) -> Result<(), CodecError> {
-    out.clear();
-    match version {
-        VERSION3 => decode_columns(payload, count as usize, out),
-        VERSION2 => {
-            let mut buf: &[u8] = payload;
-            for _ in 0..count {
-                out.push_row(&get_record(&mut buf)?);
-            }
-            Ok(())
-        }
-        other => Err(CodecError::BadVersion(other)),
-    }
-}
-// telco-lint: deny-panic(end)
-
 // ---- reader ----------------------------------------------------------------
 // telco-lint: deny-panic(begin)
 // The read path ingests external bytes: every malformed input must come
 // back as a CodecError/ChunkIssue, never abort the process.
 
-/// Streaming chunked-trace reader (v2 row-oriented and v3 columnar) with
-/// per-chunk corruption detection and skip-and-report recovery. Also
-/// reads v1 single-buffer streams (served as CRC-free batches) so
-/// existing traces stay loadable.
+/// Streaming chunked-trace reader with per-chunk corruption detection
+/// and skip-and-report recovery.
 ///
 /// Damaged chunks never abort the read: a CRC mismatch skips exactly that
 /// chunk, a corrupted frame header triggers a resync scan for the next
@@ -373,25 +291,20 @@ pub struct TraceReader<R: Read> {
     pending: VecDeque<u8>,
     offset: u64,
     days: u32,
-    version: u16,
     /// Frames attempted so far (the index used in issue reports).
     frames_seen: u64,
     chunks_ok: u64,
     records_read: u64,
-    v1_remaining: u64,
     issues: Vec<ChunkIssue>,
     trailer_seen: bool,
     done: bool,
     /// Payload scratch reused across chunks, so a steady-state streaming
     /// read performs no per-chunk byte allocations.
     scratch: Vec<u8>,
-    /// Column scratch reused across chunks by the decode paths (v3
-    /// payloads decode into columns first; rows are a transpose view).
+    /// Column scratch reused across chunks by the row decode path
+    /// (payloads decode into columns first; rows are a transpose view).
     cols: ColumnBatch,
 }
-
-/// Records per yielded batch when streaming a v1 stream.
-const V1_BATCH_RECORDS: u64 = 1 << 16;
 
 impl TraceReader<BufReader<File>> {
     /// Open a trace file for streaming.
@@ -402,57 +315,42 @@ impl TraceReader<BufReader<File>> {
 }
 
 impl<R: Read> TraceReader<R> {
-    /// Wrap a reader, consuming and validating the stream header.
+    /// Wrap a reader, consuming and validating the stream header. A
+    /// header of any version but [`VERSION3`] is refused with
+    /// [`CodecError::BadVersion`].
     pub fn new(src: R) -> Result<Self, CodecError> {
         let mut reader = TraceReader {
             src,
             pending: VecDeque::new(),
             offset: 0,
             days: 0,
-            version: 0,
             frames_seen: 0,
             chunks_ok: 0,
             records_read: 0,
-            v1_remaining: 0,
             issues: Vec::new(),
             trailer_seen: false,
             done: false,
             scratch: Vec::new(),
             cols: ColumnBatch::new(),
         };
-        let mut header = [0u8; V2_HEADER_BYTES];
-        if reader.read_bytes(&mut header)? < V2_HEADER_BYTES {
+        let mut header = [0u8; HEADER_BYTES];
+        if reader.read_bytes(&mut header)? < HEADER_BYTES {
             return Err(CodecError::Truncated);
         }
         if header[..4] != MAGIC {
             return Err(CodecError::BadMagic);
         }
         let version = u16::from_be_bytes([header[4], header[5]]);
-        let days = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
-        match version {
-            1 => {
-                let mut count = [0u8; 8];
-                if reader.read_bytes(&mut count)? < 8 {
-                    return Err(CodecError::Truncated);
-                }
-                reader.v1_remaining = u64::from_be_bytes(count);
-            }
-            VERSION2 | VERSION3 => {}
-            other => return Err(CodecError::BadVersion(other)),
+        if version != VERSION3 {
+            return Err(CodecError::BadVersion(version));
         }
-        reader.version = version;
-        reader.days = days;
+        reader.days = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
         Ok(reader)
     }
 
     /// Study-day span declared by the header.
     pub fn days(&self) -> u32 {
         self.days
-    }
-
-    /// Format version of the stream (1, 2, or 3).
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Every problem encountered so far, in stream order.
@@ -470,8 +368,8 @@ impl<R: Read> TraceReader<R> {
         self.chunks_ok
     }
 
-    /// Whether the stream ended with a valid trailer (v2 only; meaningful
-    /// after the stream is exhausted).
+    /// Whether the stream ended with a valid trailer (meaningful after the
+    /// stream is exhausted).
     pub fn trailer_seen(&self) -> bool {
         self.trailer_seen
     }
@@ -558,106 +456,36 @@ impl<R: Read> TraceReader<R> {
     /// `None` at end of stream, `Some(Err(..))` for a skipped chunk.
     pub fn next_chunk_into(&mut self, out: &mut Vec<HoRecord>) -> Option<Result<(), ChunkIssue>> {
         out.clear();
-        if self.done {
-            return None;
+        // The column scratch leaves `self` for the call, which borrows
+        // the whole reader.
+        let mut cols = std::mem::take(&mut self.cols);
+        let result = self.next_chunk_columns(&mut cols);
+        if let Some(Ok(())) = result {
+            cols.fill_rows(out);
         }
-        if self.version == 1 {
-            return self.next_v1_batch(out);
-        }
-        let raw = match self.next_frame_payload()? {
-            Ok(raw) => raw,
-            Err(issue) => return Some(Err(issue)),
-        };
-        let count = raw.count;
-        // The payload scratch is taken out of `self` for the decode so
-        // the issue-reporting path can borrow `self` mutably.
-        let payload = std::mem::take(&mut self.scratch);
-        let decode_err = if self.version == VERSION3 {
-            let mut cols = std::mem::take(&mut self.cols);
-            let err = decode_columns(&payload, count as usize, &mut cols).err();
-            if err.is_none() {
-                cols.fill_rows(out);
-            }
-            self.cols = cols;
-            err
-        } else {
-            out.reserve(count as usize);
-            let mut buf: &[u8] = &payload;
-            let mut bad = None;
-            for _ in 0..count {
-                match get_record(&mut buf) {
-                    Ok(r) => out.push(r),
-                    Err(e) => {
-                        bad = Some(e);
-                        break;
-                    }
-                }
-            }
-            bad
-        };
-        self.scratch = payload;
-        if let Some(e) = decode_err {
-            // CRC passed but the payload doesn't decode: writer-side bug
-            // or checksum collision. Skip the chunk; for v3 the error
-            // names the offending column.
-            out.clear();
-            let issue = self.issue(e);
-            self.frames_seen += 1;
-            return Some(Err(issue));
-        }
-        self.frames_seen += 1;
-        self.chunks_ok += 1;
-        self.records_read += u64::from(count);
-        Some(Ok(()))
+        self.cols = cols;
+        result
     }
 
     /// Decode the next chunk straight into reusable struct-of-arrays
     /// column buffers (cleared first), skipping per-record [`HoRecord`]
-    /// construction entirely for v3 streams — the native input of the
-    /// columnar analysis sweep. v2 chunks are transposed row-by-row into
-    /// the same batch shape and v1 streams arrive as CRC-free batches,
-    /// so the column stream is uniform across versions. Semantics
-    /// otherwise match [`TraceReader::next_chunk_into`]: `None` at end
-    /// of stream, `Some(Err(..))` for a skipped chunk.
+    /// construction entirely — the native input of the columnar analysis
+    /// sweep. Semantics otherwise match [`TraceReader::next_chunk_into`]:
+    /// `None` at end of stream, `Some(Err(..))` for a skipped chunk.
     pub fn next_chunk_columns(&mut self, out: &mut ColumnBatch) -> Option<Result<(), ChunkIssue>> {
         out.clear();
         if self.done {
             return None;
         }
-        if self.version == 1 {
-            // Legacy single-buffer stream: no chunk frames to decode
-            // columns from; materialize a row batch and transpose.
-            let mut rows = Vec::new();
-            let res = self.next_v1_batch(&mut rows);
-            if let Some(Ok(())) = res {
-                out.extend_from_rows(&rows);
-            }
-            return res;
-        }
         let raw = match self.next_frame_payload()? {
             Ok(raw) => raw,
             Err(issue) => return Some(Err(issue)),
         };
         let count = raw.count;
-        let payload = std::mem::take(&mut self.scratch);
-        let decode_err = if self.version == VERSION3 {
-            decode_columns(&payload, count as usize, out).err()
-        } else {
-            let mut buf: &[u8] = &payload;
-            let mut bad = None;
-            for _ in 0..count {
-                match get_record(&mut buf) {
-                    Ok(r) => out.push_row(&r),
-                    Err(e) => {
-                        bad = Some(e);
-                        break;
-                    }
-                }
-            }
-            bad
-        };
-        self.scratch = payload;
-        if let Some(e) = decode_err {
+        if let Err(e) = decode_columns(&self.scratch, count as usize, out) {
+            // CRC passed but the payload doesn't decode: writer-side bug
+            // or checksum collision. Skip the chunk; the error names the
+            // offending column.
             out.clear();
             let issue = self.issue(e);
             self.frames_seen += 1;
@@ -671,19 +499,18 @@ impl<R: Read> TraceReader<R> {
 
     /// The next chunk frame as its raw encoded payload, skipping record
     /// decode entirely: the frame header is validated and the payload
-    /// CRC checked, but columns (v3) or record fields (v2) are not
-    /// touched. This is what lets the external merge copy the tail of a
-    /// sole remaining input through without a decompress/recompress
-    /// round trip. The payload is swapped into `payload`; semantics
-    /// otherwise match [`TraceReader::next_chunk_into`]. Not available
-    /// for v1 streams (no chunk frames): always `None` there — callers
-    /// must check [`TraceReader::version`] first.
+    /// CRC checked, but no column is touched. This is what lets the
+    /// external merge copy the tail of a sole remaining input through
+    /// without a decompress/recompress round trip, and the span sweep
+    /// skip the chunks before its span. The payload is swapped into
+    /// `payload`; semantics otherwise match
+    /// [`TraceReader::next_chunk_into`].
     pub fn next_chunk_raw(
         &mut self,
         payload: &mut Vec<u8>,
     ) -> Option<Result<RawChunk, ChunkIssue>> {
         payload.clear();
-        if self.done || self.version == 1 {
+        if self.done {
             return None;
         }
         let raw = match self.next_frame_payload()? {
@@ -732,28 +559,17 @@ impl<R: Read> TraceReader<R> {
             }
             return Some(Err(issue));
         }
-        // v2 heads are seq|count|crc (12 bytes); v3 adds payload_len
-        // before the crc (16 bytes).
-        let head_len = if self.version == VERSION3 { 16 } else { 12 };
+        // The head after the magic: seq | count | payload_len | crc.
         let mut head = [0u8; 16];
-        let Some(head_buf) = head.get_mut(..head_len) else {
-            return self.fail(CodecError::Truncated);
-        };
-        match self.read_bytes(head_buf) {
-            Ok(n) if n == head_len => {}
+        match self.read_bytes(&mut head) {
+            Ok(16) => {}
             Ok(_) => return self.fail(CodecError::Truncated),
             Err(e) => return self.fail(e),
         }
         let seq = u32::from_be_bytes([head[0], head[1], head[2], head[3]]);
         let count = u32::from_be_bytes([head[4], head[5], head[6], head[7]]);
-        let (payload_len, stored_crc) = if self.version == VERSION3 {
-            let len = u32::from_be_bytes([head[8], head[9], head[10], head[11]]);
-            let crc = u32::from_be_bytes([head[12], head[13], head[14], head[15]]);
-            (len as usize, crc)
-        } else {
-            let crc = u32::from_be_bytes([head[8], head[9], head[10], head[11]]);
-            (count as usize * RECORD_BYTES, crc)
-        };
+        let payload_len = u32::from_be_bytes([head[8], head[9], head[10], head[11]]) as usize;
+        let stored_crc = u32::from_be_bytes([head[12], head[13], head[14], head[15]]);
         if count > MAX_CHUNK_RECORDS {
             // The length field itself is untrustworthy — resync rather
             // than skip a bogus distance.
@@ -766,10 +582,8 @@ impl<R: Read> TraceReader<R> {
             }
             return Some(Err(issue));
         }
-        if self.version == VERSION3
-            && payload_len > count as usize * MAX_V3_PAYLOAD_PER_RECORD + V3_PAYLOAD_SLACK
-        {
-            // A v3 payload length wildly out of proportion to its record
+        if payload_len > count as usize * MAX_V3_PAYLOAD_PER_RECORD + V3_PAYLOAD_SLACK {
+            // A payload length wildly out of proportion to its record
             // count is corruption; treat like a bad count and resync so
             // a flipped length can't drive a giant allocation or a bogus
             // skip distance.
@@ -832,7 +646,7 @@ impl<R: Read> TraceReader<R> {
             return self.fail(CodecError::Truncated);
         };
         let stored_crc = u32::from_be_bytes(*crc_bytes);
-        if trailer_crc(self.version, self.days, &body[..12]) != stored_crc {
+        if trailer_crc(self.days, &body[..12]) != stored_crc {
             return self.fail(CodecError::TrailerMismatch);
         }
         let total_records = u64::from_be_bytes(*records_bytes);
@@ -856,48 +670,6 @@ impl<R: Read> TraceReader<R> {
             Ok(_) => self.fail(CodecError::BadChunkMagic),
             Err(e) => self.fail(e),
         }
-    }
-
-    fn next_v1_batch(&mut self, out: &mut Vec<HoRecord>) -> Option<Result<(), ChunkIssue>> {
-        if self.v1_remaining == 0 {
-            self.done = true;
-            self.trailer_seen = true; // v1 has no trailer; count was the header's
-            return None;
-        }
-        let batch = self.v1_remaining.min(V1_BATCH_RECORDS);
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        payload.resize(batch as usize * RECORD_BYTES, 0);
-        let got = self.read_bytes(&mut payload);
-        self.scratch = payload;
-        match got {
-            Ok(n) if n == self.scratch.len() => {}
-            Ok(_) => return self.fail(CodecError::Truncated),
-            Err(e) => return self.fail(e),
-        }
-        let payload = std::mem::take(&mut self.scratch);
-        out.reserve(batch as usize);
-        let mut buf: &[u8] = &payload;
-        let mut bad = None;
-        for _ in 0..batch {
-            match get_record(&mut buf) {
-                Ok(r) => out.push(r),
-                Err(e) => {
-                    bad = Some(e); // no framing to resync on in v1
-                    break;
-                }
-            }
-        }
-        self.scratch = payload;
-        if let Some(e) = bad {
-            out.clear();
-            return self.fail(e);
-        }
-        self.frames_seen += 1;
-        self.chunks_ok += 1;
-        self.records_read += batch;
-        self.v1_remaining -= batch;
-        Some(Ok(()))
     }
 
     /// Stream the whole trace into a dataset, skipping damaged chunks.
@@ -1019,11 +791,10 @@ pub fn merge_sorted_readers<R: Read>(
 ///
 /// Once the merge drains to a single remaining input, the rest of that
 /// stream needs no comparisons — its chunks are copied through *raw*
-/// (header re-sequenced, payload byte-for-byte, CRC carried over) when
-/// the input's format version matches the writer's. For a v3 input that
-/// means the tail is merged without decompressing any column; the
-/// record stream is identical either way, so the stable-merge contract
-/// is unaffected.
+/// (header re-sequenced, payload byte-for-byte, CRC carried over), so
+/// the tail is merged without decompressing any column. The record
+/// stream is identical either way, so the stable-merge contract is
+/// unaffected.
 pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
     readers: Vec<TraceReader<R>>,
     writer: &mut TraceWriter<W>,
@@ -1034,35 +805,32 @@ pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
     let mut total = 0u64;
     loop {
         // Heap entries exist only for streams with a buffered record, so
-        // one entry means one live input: switch to the raw tail copy if
-        // its encoding matches the output's.
+        // one entry means one live input: switch to the raw tail copy.
         if merge.heap.len() == 1 {
             let Some(&std::cmp::Reverse((_, i))) = merge.heap.peek() else { break };
             let Some(s) = merge.streams.get_mut(i) else { break };
-            if s.reader.version() == writer.version() {
-                if !buf.is_empty() {
-                    writer.write_chunk(&buf)?;
-                    buf.clear();
-                }
-                // Flush the already-decoded remainder of the current
-                // chunk, then stream the rest of the file raw.
-                let tail = s.buf.get(s.pos..).unwrap_or(&[]);
-                if !tail.is_empty() {
-                    total += tail.len() as u64;
-                    writer.write_chunk(tail)?;
-                }
-                s.pos = s.buf.len();
-                let mut raw = Vec::new();
-                while let Some(chunk) = s.reader.next_chunk_raw(&mut raw) {
-                    let rc = chunk.map_err(invalid)?;
-                    if rc.count > 0 {
-                        writer.write_raw_chunk(rc.count, &raw, rc.crc)?;
-                        total += u64::from(rc.count);
-                    }
-                }
-                merge.heap.clear();
-                break;
+            if !buf.is_empty() {
+                writer.write_chunk(&buf)?;
+                buf.clear();
             }
+            // Flush the already-decoded remainder of the current chunk,
+            // then stream the rest of the file raw.
+            let tail = s.buf.get(s.pos..).unwrap_or(&[]);
+            if !tail.is_empty() {
+                total += tail.len() as u64;
+                writer.write_chunk(tail)?;
+            }
+            s.pos = s.buf.len();
+            let mut raw = Vec::new();
+            while let Some(chunk) = s.reader.next_chunk_raw(&mut raw) {
+                let rc = chunk.map_err(invalid)?;
+                if rc.count > 0 {
+                    writer.write_raw_chunk(rc.count, &raw, rc.crc)?;
+                    total += u64::from(rc.count);
+                }
+            }
+            merge.heap.clear();
+            break;
         }
         match merge.next().map_err(invalid)? {
             Some(r) => {
@@ -1084,7 +852,7 @@ pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
 
 /// External merge of sorted run files into one dataset, bounding the
 /// open-file fan-in. With more than `fan_in` runs, groups of `fan_in`
-/// files are first merged into intermediate v2 files under `tmp_dir`
+/// files are first merged into intermediate files under `tmp_dir`
 /// (classic external merge sort); grouping is order-preserving, so the
 /// result is byte-identical to a flat stable merge. Input and
 /// intermediate files are deleted as they are consumed.
@@ -1095,8 +863,7 @@ pub fn merge_run_files(
     fan_in: usize,
 ) -> std::io::Result<SignalingDataset> {
     let invalid = |e: CodecError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let version = runs_version(&runs)?;
-    let files = reduce_runs(days, runs, tmp_dir, fan_in, version)?;
+    let files = reduce_runs(days, runs, tmp_dir, fan_in)?;
     let mut readers = Vec::with_capacity(files.len());
     for path in &files {
         readers.push(TraceReader::open(path).map_err(invalid)?);
@@ -1109,7 +876,7 @@ pub fn merge_run_files(
     Ok(merged)
 }
 
-/// External merge of sorted run files into one sealed v2 trace file at
+/// External merge of sorted run files into one sealed trace file at
 /// `out_path`, never materializing the merged trace in memory — the
 /// fully out-of-core sibling of [`merge_run_files`], with the same
 /// stable-merge byte-identity contract. Input and intermediate files are
@@ -1122,13 +889,12 @@ pub fn merge_run_files_to_path(
     out_path: &Path,
 ) -> std::io::Result<u64> {
     let invalid = |e: CodecError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let version = runs_version(&runs)?;
-    let files = reduce_runs(days, runs, tmp_dir, fan_in, version)?;
+    let files = reduce_runs(days, runs, tmp_dir, fan_in)?;
     let mut readers = Vec::with_capacity(files.len());
     for path in &files {
         readers.push(TraceReader::open(path).map_err(invalid)?);
     }
-    let mut writer = TraceWriter::create_with_version(out_path, days, version)?;
+    let mut writer = TraceWriter::create(out_path, days)?;
     let total = merge_sorted_readers_to_writer(readers, &mut writer)?;
     writer.finish()?;
     for path in &files {
@@ -1137,30 +903,14 @@ pub fn merge_run_files_to_path(
     Ok(total)
 }
 
-/// The format version an external merge should write: the version of
-/// the first run file, so merging preserves the inputs' encoding (and
-/// the raw tail passthrough can engage). Defaults to v3 for an empty
-/// run list or v1 inputs (v1 has no chunked writer).
-fn runs_version(runs: &[std::path::PathBuf]) -> std::io::Result<u16> {
-    let Some(first) = runs.first() else { return Ok(VERSION3) };
-    let reader = TraceReader::open(first)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    match reader.version() {
-        VERSION2 => Ok(VERSION2),
-        _ => Ok(VERSION3),
-    }
-}
-
 /// The shared reduce loop of the external merges: while more than
 /// `fan_in` run files remain, merge order-preserving groups of `fan_in`
-/// into intermediate files (written at `version`) under `tmp_dir`,
-/// deleting consumed inputs.
+/// into intermediate files under `tmp_dir`, deleting consumed inputs.
 fn reduce_runs(
     days: u32,
     runs: Vec<std::path::PathBuf>,
     tmp_dir: &Path,
     fan_in: usize,
-    version: u16,
 ) -> std::io::Result<Vec<std::path::PathBuf>> {
     // telco-lint: allow(panic): API-misuse guard; every call site passes the MERGE_FAN_IN constant
     assert!(fan_in >= 2, "fan-in must be at least 2");
@@ -1175,7 +925,7 @@ fn reduce_runs(
             for path in group {
                 readers.push(TraceReader::open(path).map_err(invalid)?);
             }
-            let mut writer = TraceWriter::create_with_version(&out, days, version)?;
+            let mut writer = TraceWriter::create(&out, days)?;
             merge_sorted_readers_to_writer(readers, &mut writer)?;
             writer.finish()?;
             for path in group {
@@ -1194,7 +944,7 @@ fn reduce_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::encode;
+    use crate::io::RECORD_BYTES;
     use crate::record::HoOutcome;
     use telco_devices::population::UeId;
     use telco_signaling::causes::{CauseCode, PrincipalCause};
@@ -1224,67 +974,48 @@ mod tests {
         SignalingDataset::from_records(days, records)
     }
 
-    fn encode_v2(dataset: &SignalingDataset) -> Vec<u8> {
-        let mut w = TraceWriter::new_v2(Vec::new(), dataset.days).unwrap();
-        w.write_dataset(dataset).unwrap();
-        w.finish().unwrap()
-    }
-
-    fn encode_v3(dataset: &SignalingDataset) -> Vec<u8> {
+    fn encode(dataset: &SignalingDataset) -> Vec<u8> {
         let mut w = TraceWriter::new(Vec::new(), dataset.days).unwrap();
         w.write_dataset(dataset).unwrap();
         w.finish().unwrap()
     }
 
-    #[test]
-    fn v2_roundtrip_per_day_chunks() {
-        let d = sample_dataset(3, 500);
-        let bytes = encode_v2(&d);
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        assert_eq!(reader.version(), VERSION2);
-        assert_eq!(reader.days(), 3);
-        let back = reader.read_to_dataset_strict().unwrap();
-        assert_eq!(back, d);
-        assert!(reader.trailer_seen());
-        assert!(reader.issues().is_empty());
-        // Round-trip through the byte-level v1 encoder too: identical bits.
-        assert_eq!(encode(&back), encode(&d));
+    /// Byte offset of every chunk frame of a sealed stream, walked by each
+    /// frame's `payload_len`; the trailer follows the last one.
+    fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
+        let mut at = HEADER_BYTES;
+        let mut frames = Vec::new();
+        while bytes[at..at + 4] == CHUNK_MAGIC {
+            frames.push(at);
+            let len = u32::from_be_bytes(bytes[at + 12..at + 16].try_into().unwrap());
+            at += V3_FRAME_HEADER_BYTES + len as usize;
+        }
+        frames
     }
 
     #[test]
-    fn v2_empty_dataset() {
-        let d = SignalingDataset::new(28);
-        let bytes = encode_v2(&d);
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let back = reader.read_to_dataset_strict().unwrap();
-        assert_eq!(back.days, 28);
-        assert!(back.is_empty());
-        assert!(reader.trailer_seen());
-    }
-
-    #[test]
-    fn v1_stream_compatibility() {
-        let d = sample_dataset(2, 300);
-        let v1 = encode(&d);
-        let mut reader = TraceReader::new(&v1[..]).unwrap();
-        assert_eq!(reader.version(), 1);
-        let back = reader.read_to_dataset_strict().unwrap();
-        assert_eq!(back, d);
+    fn retired_versions_refused_by_number() {
+        let mut bytes = encode(&sample_dataset(2, 50));
+        for version in [1u16, 2, 4, u16::MAX] {
+            bytes[4..6].copy_from_slice(&version.to_be_bytes());
+            assert_eq!(TraceReader::new(&bytes[..]).unwrap_err(), CodecError::BadVersion(version));
+        }
+        // A v1 header carries a record count after the days field; the
+        // refusal happens on the version alone.
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u16.to_be_bytes());
+        v1.extend_from_slice(&2u32.to_be_bytes());
+        v1.extend_from_slice(&0u64.to_be_bytes());
+        assert_eq!(TraceReader::new(&v1[..]).unwrap_err(), CodecError::BadVersion(1));
     }
 
     #[test]
     fn corrupted_chunk_is_skipped_and_reported() {
         let d = sample_dataset(3, 600);
-        let mut bytes = encode_v2(&d);
-        // Flip a bit deep inside the second chunk's payload.
-        let day0 = d.day(0).count();
-        let target = V2_HEADER_BYTES
-            + FRAME_HEADER_BYTES
-            + day0 * RECORD_BYTES
-            + FRAME_HEADER_BYTES
-            + 5 * RECORD_BYTES
-            + 3;
-        bytes[target] ^= 0x10;
+        let mut bytes = encode(&d);
+        // Flip a bit inside the second chunk's payload.
+        let second = frame_offsets(&bytes)[1];
+        bytes[second + V3_FRAME_HEADER_BYTES + 7] ^= 0x10;
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
         // Exactly day 1 went missing; days 0 and 2 survived.
@@ -1300,15 +1031,14 @@ mod tests {
     #[test]
     fn corrupted_frame_header_resyncs() {
         let d = sample_dataset(2, 400);
-        let mut bytes = encode_v2(&d);
+        let mut bytes = encode(&d);
         // Smash the second chunk's magic: the reader must resync onto the
         // trailer (losing the chunk) without panicking or aborting.
-        let day0 = d.day(0).count();
-        let second = V2_HEADER_BYTES + FRAME_HEADER_BYTES + day0 * RECORD_BYTES;
+        let second = frame_offsets(&bytes)[1];
         bytes[second] = b'X';
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
-        assert_eq!(back.len(), day0);
+        assert_eq!(back.len(), d.day(0).count());
         assert!(reader.issues().iter().any(|i| i.error == CodecError::BadChunkMagic));
         assert!(reader.trailer_seen());
     }
@@ -1316,7 +1046,7 @@ mod tests {
     #[test]
     fn missing_trailer_reported() {
         let d = sample_dataset(1, 100);
-        let mut bytes = encode_v2(&d);
+        let mut bytes = encode(&d);
         bytes.truncate(bytes.len() - 20); // drop the trailer exactly
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
@@ -1329,19 +1059,20 @@ mod tests {
     #[test]
     fn truncated_payload_reported() {
         let d = sample_dataset(1, 100);
-        let mut bytes = encode_v2(&d);
-        bytes.truncate(bytes.len() - 20 - 7); // trailer + part of last record
+        let mut bytes = encode(&d);
+        bytes.truncate(bytes.len() - 20 - 7); // trailer + the payload's tail
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let _ = reader.read_to_dataset();
+        let back = reader.read_to_dataset();
+        assert!(back.is_empty());
         assert!(reader.issues().iter().any(|i| i.error == CodecError::Truncated));
     }
 
     #[test]
     fn absurd_chunk_count_resyncs() {
         let d = sample_dataset(1, 10);
-        let mut bytes = encode_v2(&d);
+        let mut bytes = encode(&d);
         // Overwrite the chunk's count field with u32::MAX.
-        for b in &mut bytes[V2_HEADER_BYTES + 8..V2_HEADER_BYTES + 12] {
+        for b in &mut bytes[HEADER_BYTES + 8..HEADER_BYTES + 12] {
             *b = 0xFF;
         }
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
@@ -1353,7 +1084,7 @@ mod tests {
     #[test]
     fn flipped_days_field_detected_by_trailer_seal() {
         let d = sample_dataset(2, 50);
-        let mut bytes = encode_v2(&d);
+        let mut bytes = encode(&d);
         bytes[9] ^= 0x04; // days is bytes 6..10 of the header
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let _ = reader.read_to_dataset();
@@ -1366,11 +1097,10 @@ mod tests {
     #[test]
     fn flipped_seq_field_detected() {
         let d = sample_dataset(3, 600);
-        let mut bytes = encode_v2(&d);
-        // Second chunk's seq field sits right after its magic.
-        let day0 = d.day(0).count();
-        let pos = V2_HEADER_BYTES + FRAME_HEADER_BYTES + day0 * RECORD_BYTES + 4;
-        bytes[pos + 3] ^= 0x02; // seq 1 -> 3
+        let mut bytes = encode(&d);
+        // The second chunk's seq field sits right after its magic.
+        let seq = frame_offsets(&bytes)[1] + 4;
+        bytes[seq + 3] ^= 0x02; // seq 1 -> 3
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
         assert_eq!(back.len(), d.len() - d.day(1).count());
@@ -1380,7 +1110,7 @@ mod tests {
     #[test]
     fn data_after_trailer_reported() {
         let d = sample_dataset(1, 10);
-        let mut bytes = encode_v2(&d);
+        let mut bytes = encode(&d);
         bytes.extend_from_slice(b"junk");
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
@@ -1426,7 +1156,7 @@ mod tests {
             let run = SignalingDataset::from_records(1, records);
             all.extend_from_slice(run.records());
             let path = dir.join(format!("run-{i:06}.tmp-trace"));
-            write_file_v2(&run, &path).unwrap();
+            write_file_v3(&run, &path).unwrap();
             paths.push(path);
         }
         let merged = merge_run_files(1, paths, &dir, 3).unwrap();
@@ -1438,46 +1168,31 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip_v2() {
-        let dir = std::env::temp_dir().join("telco_store_file_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.tlho");
-        let d = sample_dataset(2, 250);
-        write_file_v2(&d, &path).unwrap();
-        // Version-dispatching io::read_file understands v2.
-        assert_eq!(crate::io::read_file(&path).unwrap(), d);
-        let mut reader = TraceReader::open(&path).unwrap();
-        assert_eq!(reader.read_to_dataset_strict().unwrap(), d);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn v3_roundtrip_and_compression() {
         let d = sample_dataset(3, 500);
-        let v3 = encode_v3(&d);
-        let v2 = encode_v2(&d);
-        let mut reader = TraceReader::new(&v3[..]).unwrap();
-        assert_eq!(reader.version(), VERSION3);
+        let bytes = encode(&d);
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
         assert_eq!(reader.days(), 3);
         let back = reader.read_to_dataset_strict().unwrap();
         assert_eq!(back, d);
+        assert_eq!(reader.chunks_read(), 3, "one chunk per day");
         assert!(reader.trailer_seen());
         assert!(reader.issues().is_empty());
         // The columnar payload must actually compress this workload.
-        assert!(v3.len() < v2.len(), "v3 {} not smaller than v2 {}", v3.len(), v2.len());
+        let rows = d.len() * RECORD_BYTES;
+        assert!(bytes.len() < rows, "v3 {} not smaller than {rows} row bytes", bytes.len());
     }
 
     #[test]
-    fn v3_is_the_default_writer_version() {
-        let w = TraceWriter::new(Vec::new(), 1).unwrap();
-        assert_eq!(w.version(), VERSION3);
-        let bytes = encode_v3(&SignalingDataset::new(1));
+    fn writer_header_is_version_3() {
+        let bytes = encode(&SignalingDataset::new(1));
+        assert_eq!(bytes[..4], MAGIC);
         assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), VERSION3);
     }
 
     #[test]
     fn v3_empty_dataset() {
-        let bytes = encode_v3(&SignalingDataset::new(28));
+        let bytes = encode(&SignalingDataset::new(28));
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset_strict().unwrap();
         assert_eq!(back.days, 28);
@@ -1486,44 +1201,13 @@ mod tests {
     }
 
     #[test]
-    fn v3_corrupted_chunk_is_skipped_and_reported() {
-        let d = sample_dataset(3, 600);
-        let clean = encode_v3(&d);
-        // Flip one bit in every payload byte position of the second
-        // chunk, one at a time, sampling a few: the reader must always
-        // skip exactly that chunk and report a checksum mismatch.
-        let mut reader = TraceReader::new(&clean[..]).unwrap();
-        let first = reader.next_chunk().unwrap().unwrap();
-        assert_eq!(first.len(), d.day(0).count());
-        // Find the second chunk's payload: header + first frame.
-        let mut pos = V2_HEADER_BYTES;
-        for _ in 0..1 {
-            let len = u32::from_be_bytes([
-                clean[pos + 12],
-                clean[pos + 13],
-                clean[pos + 14],
-                clean[pos + 15],
-            ]) as usize;
-            pos += V3_FRAME_HEADER_BYTES + len;
-        }
-        let target = pos + V3_FRAME_HEADER_BYTES + 7;
-        let mut bytes = clean.clone();
-        bytes[target] ^= 0x10;
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let back = reader.read_to_dataset();
-        assert_eq!(back.len(), d.len() - d.day(1).count());
-        assert!(matches!(reader.issues()[0].error, CodecError::ChecksumMismatch { .. }));
-        assert_eq!(reader.issues()[0].chunk, 1);
-    }
-
-    #[test]
     fn v3_absurd_payload_len_resyncs() {
         let d = sample_dataset(1, 10);
-        let mut bytes = encode_v3(&d);
+        let mut bytes = encode(&d);
         // Overwrite the first chunk's payload_len with u32::MAX while
         // leaving count plausible: the reader must refuse the
         // allocation and resync.
-        for b in &mut bytes[V2_HEADER_BYTES + 12..V2_HEADER_BYTES + 16] {
+        for b in &mut bytes[HEADER_BYTES + 12..HEADER_BYTES + 16] {
             *b = 0xFF;
         }
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
@@ -1533,38 +1217,21 @@ mod tests {
     }
 
     #[test]
-    fn v3_version_flip_detected_by_trailer_seal() {
-        // Rewriting the header version (3 → 2) without re-sealing must
-        // fail: the trailer CRC covers the version field.
-        let d = sample_dataset(1, 0);
-        let mut bytes = encode_v3(&d);
-        bytes[5] = VERSION2 as u8;
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let _ = reader.read_to_dataset();
-        assert!(reader.issues().iter().any(|i| i.error == CodecError::TrailerMismatch));
-    }
-
-    #[test]
     fn v3_decode_failure_names_the_column() {
-        // Craft a frame whose payload passes CRC but holds an invalid
-        // RAT code: the issue must carry the column name.
+        // Craft a frame whose payload passes CRC but does not decode: the
+        // issue must carry the column name.
         let d = sample_dataset(1, 5);
-        let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
-        w.write_dataset(&d).unwrap();
-        let mut bytes = w.finish().unwrap();
-        // Locate the source_rat column (id 4) inside the first payload
-        // and set an index bit pattern to 3 (valid) → craft instead via
-        // re-CRC: flip a payload byte and fix the stored CRC.
+        let mut bytes = encode(&d);
         let payload_len = u32::from_be_bytes([
-            bytes[V2_HEADER_BYTES + 8],
-            bytes[V2_HEADER_BYTES + 9],
-            bytes[V2_HEADER_BYTES + 10],
-            bytes[V2_HEADER_BYTES + 11],
+            bytes[HEADER_BYTES + 12],
+            bytes[HEADER_BYTES + 13],
+            bytes[HEADER_BYTES + 14],
+            bytes[HEADER_BYTES + 15],
         ]) as usize;
-        let payload_start = V2_HEADER_BYTES + V3_FRAME_HEADER_BYTES;
+        let payload_start = HEADER_BYTES + V3_FRAME_HEADER_BYTES;
         // Walk the column-group frames to the flags column (id 6) and
-        // make record 0 a failure without a cause flag — an invalid
-        // record the row codec would reject too.
+        // make record 0 a failure without a cause — an invalid record —
+        // then fix the stored CRC.
         let mut q = payload_start;
         while bytes[q] != 6 {
             let len = u32::from_be_bytes([bytes[q + 1], bytes[q + 2], bytes[q + 3], bytes[q + 4]])
@@ -1573,23 +1240,19 @@ mod tests {
         }
         bytes[q + 5] = 0x01;
         let crc = crc32(&bytes[payload_start..payload_start + payload_len]);
-        bytes[V2_HEADER_BYTES + 12..V2_HEADER_BYTES + 16].copy_from_slice(&crc.to_be_bytes());
+        bytes[HEADER_BYTES + 16..HEADER_BYTES + 20].copy_from_slice(&crc.to_be_bytes());
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
         assert!(back.is_empty());
-        assert!(
-            reader.issues().iter().any(|i| matches!(i.error, CodecError::BadField(_))),
-            "column decode failure must surface as BadField: {:?}",
-            reader.issues()
-        );
+        assert_eq!(reader.issues()[0].error, CodecError::BadField("cause"));
     }
 
     #[test]
     fn raw_chunk_passthrough_matches_decode() {
-        // Reading a v3 stream raw and re-framing through write_raw_chunk
+        // Reading a stream raw and re-framing through write_raw_chunk
         // must reproduce a byte-identical record stream.
         let d = sample_dataset(2, 300);
-        let bytes = encode_v3(&d);
+        let bytes = encode(&d);
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let mut writer = TraceWriter::new(Vec::new(), 2).unwrap();
         let mut raw = Vec::new();
@@ -1606,7 +1269,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_preserves_run_version_and_passthrough_tail() {
+    fn merge_passthrough_tail() {
         let dir = std::env::temp_dir().join("telco_store_merge_v3_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1617,25 +1280,22 @@ mod tests {
             (0..4000u64).map(|i| rec(i * 50, (i + 100) as u32, i % 7 == 0)).collect();
         let mut all: Vec<HoRecord> = short.iter().chain(long.iter()).copied().collect();
         all.sort_by_key(|r| r.timestamp_ms);
-        for (version, expect) in [(VERSION2, VERSION2), (VERSION3, VERSION3)] {
-            let mut paths = Vec::new();
-            for (i, run) in [&short, &long].iter().enumerate() {
-                let path = dir.join(format!("run-{version}-{i:06}.tmp-trace"));
-                let mut w = TraceWriter::create_with_version(&path, 3, version).unwrap();
-                for day_chunk in run.chunks(512) {
-                    w.write_chunk(day_chunk).unwrap();
-                }
-                w.finish().unwrap();
-                paths.push(path);
+        let mut paths = Vec::new();
+        for (i, run) in [&short, &long].iter().enumerate() {
+            let path = dir.join(format!("run-{i:06}.tmp-trace"));
+            let mut w = TraceWriter::create(&path, 3).unwrap();
+            for day_chunk in run.chunks(512) {
+                w.write_chunk(day_chunk).unwrap();
             }
-            let out = dir.join(format!("merged-{version}.tlho"));
-            let n = merge_run_files_to_path(3, paths, &dir, 128, &out).unwrap();
-            assert_eq!(n, all.len() as u64);
-            let mut reader = TraceReader::open(&out).unwrap();
-            assert_eq!(reader.version(), expect, "merge must preserve the run version");
-            let merged = reader.read_to_dataset_strict().unwrap();
-            assert_eq!(merged.records(), &all[..]);
+            w.finish().unwrap();
+            paths.push(path);
         }
+        let out = dir.join("merged.tlho");
+        let n = merge_run_files_to_path(3, paths, &dir, 128, &out).unwrap();
+        assert_eq!(n, all.len() as u64);
+        let mut reader = TraceReader::open(&out).unwrap();
+        let merged = reader.read_to_dataset_strict().unwrap();
+        assert_eq!(merged.records(), &all[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1646,8 +1306,6 @@ mod tests {
         let path = dir.join("trace.tlho");
         let d = sample_dataset(2, 250);
         write_file_v3(&d, &path).unwrap();
-        // Version-dispatching io::read_file understands v3.
-        assert_eq!(crate::io::read_file(&path).unwrap(), d);
         let mut reader = TraceReader::open(&path).unwrap();
         assert_eq!(reader.read_to_dataset_strict().unwrap(), d);
         let _ = std::fs::remove_dir_all(&dir);

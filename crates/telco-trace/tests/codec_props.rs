@@ -1,8 +1,7 @@
-//! Property-based tests of the trace codecs: arbitrary record vectors
-//! round-trip losslessly through all three container formats (v1
-//! single-buffer, v2 row-chunked, v3 columnar), and arbitrary corruption
-//! — truncation anywhere, bit-flips anywhere — yields typed
-//! `CodecError`s (or skip-and-report recovery for the chunked formats),
+//! Property-based tests of the trace codec: arbitrary record vectors
+//! round-trip losslessly through the chunked columnar store at any
+//! chunking, and arbitrary corruption — truncation anywhere, bit-flips
+//! anywhere — yields typed `CodecError`s or skip-and-report recovery,
 //! never a panic.
 //!
 //! Regressions found by earlier fuzzing are pinned as plain `#[test]`s at
@@ -17,9 +16,9 @@ use telco_signaling::causes::CauseCode;
 use telco_topology::elements::SectorId;
 use telco_topology::rat::Rat;
 use telco_trace::dataset::SignalingDataset;
-use telco_trace::io::{decode, encode, CodecError, RECORD_BYTES, V1_HEADER_BYTES};
+use telco_trace::io::CodecError;
 use telco_trace::record::{HoOutcome, HoRecord};
-use telco_trace::store::{TraceReader, TraceWriter, VERSION2, VERSION3};
+use telco_trace::store::{TraceReader, TraceWriter};
 
 fn arb_rat() -> impl Strategy<Value = Rat> {
     prop_oneof![Just(Rat::G2), Just(Rat::G3), Just(Rat::G4), Just(Rat::G5Nr)]
@@ -58,48 +57,18 @@ fn arb_record() -> impl Strategy<Value = HoRecord> {
         )
 }
 
-/// Encode into a chunked container at the given version, splitting the
-/// records over chunks of `chunk_len` so frame boundaries land in
-/// arbitrary places.
-fn encode_chunked(dataset: &SignalingDataset, chunk_len: usize, version: u16) -> Vec<u8> {
-    let mut w = TraceWriter::with_version(Vec::new(), dataset.days, version).unwrap();
+/// Encode into the chunked store, splitting the records over chunks of
+/// `chunk_len` so frame boundaries land in arbitrary places.
+fn encode_v3(dataset: &SignalingDataset, chunk_len: usize) -> Vec<u8> {
+    let mut w = TraceWriter::new(Vec::new(), dataset.days).unwrap();
     for chunk in dataset.records().chunks(chunk_len.max(1)) {
         w.write_chunk(chunk).unwrap();
     }
     w.finish().unwrap()
 }
 
-fn encode_v2(dataset: &SignalingDataset, chunk_len: usize) -> Vec<u8> {
-    encode_chunked(dataset, chunk_len, VERSION2)
-}
-
-fn encode_v3(dataset: &SignalingDataset, chunk_len: usize) -> Vec<u8> {
-    encode_chunked(dataset, chunk_len, VERSION3)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn v1_roundtrips(records in proptest::collection::vec(arb_record(), 0..200)) {
-        let dataset = SignalingDataset::from_records(28, records);
-        let decoded = decode(encode(&dataset)).expect("valid v1 frames decode");
-        prop_assert_eq!(dataset, decoded);
-    }
-
-    #[test]
-    fn v2_roundtrips_any_chunking(
-        records in proptest::collection::vec(arb_record(), 0..200),
-        chunk_len in 1usize..64,
-    ) {
-        let dataset = SignalingDataset::from_records(28, records);
-        let bytes = encode_v2(&dataset, chunk_len);
-        let mut reader = TraceReader::new(&bytes[..]).expect("valid v2 header");
-        let decoded = reader.read_to_dataset_strict().expect("valid v2 frames decode");
-        prop_assert_eq!(&dataset, &decoded);
-        prop_assert!(reader.trailer_seen());
-        prop_assert!(reader.issues().is_empty());
-    }
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn v3_roundtrips_any_chunking(
@@ -131,9 +100,9 @@ proptest! {
             Err(_) => {} // header flip: typed error at open
             Ok(mut reader) => {
                 let recovered = reader.read_to_dataset();
-                // Every v3 byte is covered by a payload CRC, the
+                // Every byte is covered by a payload CRC, the
                 // length-checked frame header, or the sealed trailer —
-                // a flip anywhere must be *detected*, same as v2.
+                // a flip anywhere must be *detected*.
                 prop_assert!(
                     !reader.issues().is_empty(),
                     "flip at byte {pos} bit {bit} went undetected"
@@ -166,134 +135,16 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn v2_and_v3_decode_identically(
-        records in proptest::collection::vec(arb_record(), 0..120),
-        chunk_len in 1usize..48,
-    ) {
-        // The two chunked containers are different encodings of the same
-        // stream: any record vector must survive both bit-exactly.
-        let dataset = SignalingDataset::from_records(28, records);
-        let v2 = encode_v2(&dataset, chunk_len);
-        let v3 = encode_v3(&dataset, chunk_len);
-        let a = TraceReader::new(&v2[..]).unwrap().read_to_dataset_strict().expect("v2");
-        let b = TraceReader::new(&v3[..]).unwrap().read_to_dataset_strict().expect("v3");
-        prop_assert_eq!(&a, &b);
-    }
-
-    #[test]
-    fn v1_truncation_never_panics(
-        records in proptest::collection::vec(arb_record(), 0..50),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let dataset = SignalingDataset::from_records(28, records);
-        let full = encode(&dataset);
-        let cut = (cut_frac * full.len() as f64) as usize;
-        if cut < full.len() {
-            // Any strict prefix must decode to a typed error, not the
-            // original (data was lost) and never a panic.
-            let err = decode(full.slice(0..cut)).expect_err("truncation must error");
-            prop_assert!(matches!(
-                err,
-                CodecError::Truncated | CodecError::BadMagic | CodecError::BadVersion(_)
-            ));
-        }
-    }
-
-    #[test]
-    fn v1_bit_flips_never_panic(
-        records in proptest::collection::vec(arb_record(), 1..50),
-        byte_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let dataset = SignalingDataset::from_records(28, records);
-        let mut raw = encode(&dataset).to_vec();
-        let pos = ((byte_frac * raw.len() as f64) as usize).min(raw.len() - 1);
-        raw[pos] ^= 1 << bit;
-        // v1 has no checksum: a flip may decode to different-but-valid
-        // records. The property is the absence of panics and, on error,
-        // a typed CodecError.
-        let _ = decode(bytes::Bytes::from(raw));
-    }
-
-    #[test]
-    fn v2_bit_flips_never_panic_and_are_detected(
-        records in proptest::collection::vec(arb_record(), 1..80),
-        chunk_len in 1usize..32,
-        byte_frac in 0.0f64..1.0,
-        bit in 0u8..8,
-    ) {
-        let dataset = SignalingDataset::from_records(28, records);
-        let clean = encode_v2(&dataset, chunk_len);
-        let mut raw = clean.clone();
-        let pos = ((byte_frac * raw.len() as f64) as usize).min(raw.len() - 1);
-        raw[pos] ^= 1 << bit;
-        match TraceReader::new(&raw[..]) {
-            Err(_) => {} // header flip: typed error at open
-            Ok(mut reader) => {
-                let recovered = reader.read_to_dataset();
-                // Unlike v1, every v2 byte is covered by a CRC (chunk
-                // payloads), a self-check (trailer), or framing
-                // validation — a flip anywhere must be *detected*.
-                prop_assert!(
-                    !reader.issues().is_empty(),
-                    "flip at byte {pos} bit {bit} went undetected"
-                );
-                // Recovery only ever loses whole chunks.
-                prop_assert!(recovered.len() <= dataset.len());
-            }
-        }
-    }
-
-    #[test]
-    fn v2_truncation_never_panics(
-        records in proptest::collection::vec(arb_record(), 0..80),
-        chunk_len in 1usize..32,
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let dataset = SignalingDataset::from_records(28, records);
-        let clean = encode_v2(&dataset, chunk_len);
-        let cut = (cut_frac * clean.len() as f64) as usize;
-        if cut >= clean.len() {
-            return Ok(());
-        }
-        match TraceReader::new(&clean[..cut]) {
-            Err(e) => prop_assert!(matches!(e, CodecError::Truncated | CodecError::BadMagic)),
-            Ok(mut reader) => {
-                let recovered = reader.read_to_dataset();
-                // A strict prefix always loses the trailer (and possibly
-                // more): the reader must report it, and recovered records
-                // must be a prefix-closed subset decoded from intact
-                // chunks only.
-                prop_assert!(!reader.issues().is_empty(), "silent truncation at {cut}");
-                prop_assert!(recovered.len() <= dataset.len());
-                prop_assert!(!reader.trailer_seen());
-            }
-        }
-    }
 }
 
 // ---- committed regressions -------------------------------------------------
 // Each was a real failure mode found while fuzzing the codecs; kept as
 // plain tests so they run on every seed.
 
-/// A flipped v1 count field must not overflow `count * RECORD_BYTES` or
-/// drive a giant allocation (found via truncation fuzzing; the original
-/// decode multiplied before checking).
-#[test]
-fn regression_v1_count_overflow() {
-    let mut raw = encode(&SignalingDataset::new(28)).to_vec();
-    for b in &mut raw[10..18] {
-        *b = 0xFF; // count = u64::MAX
-    }
-    assert_eq!(decode(bytes::Bytes::from(raw)).unwrap_err(), CodecError::Truncated);
-}
-
-/// A v2 chunk whose count field is flipped to an absurd value must be
+/// A chunk whose count field is flipped to an absurd value must be
 /// treated as corruption and resynced past, not allocated.
 #[test]
-fn regression_v2_count_flip_resyncs() {
+fn regression_count_flip_resyncs() {
     let dataset = SignalingDataset::from_records(
         1,
         vec![HoRecord {
@@ -310,7 +161,7 @@ fn regression_v2_count_flip_resyncs() {
             messages: 8,
         }],
     );
-    let mut raw = encode_v2(&dataset, 1);
+    let mut raw = encode_v3(&dataset, 1);
     // Chunk count field sits after the 10-byte header + 4 magic + 4 seq.
     for b in &mut raw[18..22] {
         *b = 0xFF;
@@ -324,7 +175,7 @@ fn regression_v2_count_flip_resyncs() {
 /// Truncating exactly at a frame boundary (trailer dropped, all chunks
 /// intact) must still be reported: the trailer is the tamper seal.
 #[test]
-fn regression_v2_boundary_truncation_detected() {
+fn regression_boundary_truncation_detected() {
     let records: Vec<HoRecord> = (0..10)
         .map(|i| HoRecord {
             timestamp_ms: i,
@@ -341,7 +192,7 @@ fn regression_v2_boundary_truncation_detected() {
         })
         .collect();
     let dataset = SignalingDataset::from_records(1, records);
-    let raw = encode_v2(&dataset, 10);
+    let raw = encode_v3(&dataset, 10);
     let cut = &raw[..raw.len() - 20]; // drop exactly the trailer
     let mut reader = TraceReader::new(cut).unwrap();
     let recovered = reader.read_to_dataset();
@@ -374,7 +225,7 @@ fn plain_record(ts: u64) -> HoRecord {
 fn regression_v3_timestamp_regression_within_chunk_roundtrips() {
     let ts = [5u64, 3, 10, u64::MAX, 0, u64::MAX / 2, 7];
     let records: Vec<HoRecord> = ts.iter().map(|&t| plain_record(t)).collect();
-    let mut w = TraceWriter::with_version(Vec::new(), 1, VERSION3).unwrap();
+    let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
     w.write_chunk(&records).unwrap();
     let bytes = w.finish().unwrap();
     let mut reader = TraceReader::new(&bytes[..]).unwrap();
@@ -392,7 +243,7 @@ fn regression_v3_timestamp_regression_within_chunk_roundtrips() {
 #[test]
 fn regression_v3_dictionary_overflow_rejected() {
     let mut raw = {
-        let mut w = TraceWriter::with_version(Vec::new(), 1, VERSION3).unwrap();
+        let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
         w.write_chunk(&[plain_record(1)]).unwrap();
         w.finish().unwrap()
     };
@@ -429,7 +280,7 @@ fn regression_v3_dictionary_overflow_rejected() {
 /// decode cleanly when interleaved with data chunks.
 #[test]
 fn regression_v3_empty_chunks_roundtrip() {
-    let mut w = TraceWriter::with_version(Vec::new(), 1, VERSION3).unwrap();
+    let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
     w.write_chunk(&[]).unwrap();
     w.write_chunk(&[plain_record(10), plain_record(20)]).unwrap();
     w.write_chunk(&[]).unwrap();
@@ -439,34 +290,4 @@ fn regression_v3_empty_chunks_roundtrip() {
     assert_eq!(decoded.len(), 2);
     assert!(reader.trailer_seen());
     assert!(reader.issues().is_empty());
-}
-
-/// The v1 record-frame layout is the byte-level contract both containers
-/// share; a drift here would silently invalidate every stored trace.
-#[test]
-fn regression_record_frame_layout_is_stable() {
-    let r = HoRecord {
-        timestamp_ms: 0x0102_0304_0506_0708,
-        ue: UeId(0x0A0B_0C0D),
-        source_sector: SectorId(0x1112_1314),
-        target_sector: SectorId(0x2122_2324),
-        source_rat: Rat::G4,
-        target_rat: Rat::G3,
-        outcome: HoOutcome::Failure,
-        cause: Some(CauseCode(0x0405)),
-        duration_ms: 1.5,
-        srvcc: true,
-        messages: 0x0607,
-    };
-    let d = SignalingDataset::from_records(1, vec![r]);
-    let bytes = encode(&d);
-    assert_eq!(bytes.len(), V1_HEADER_BYTES + RECORD_BYTES);
-    let frame = &bytes[V1_HEADER_BYTES..];
-    assert_eq!(&frame[0..8], &[1, 2, 3, 4, 5, 6, 7, 8]); // timestamp BE
-    assert_eq!(&frame[8..12], &[0x0A, 0x0B, 0x0C, 0x0D]); // ue
-    assert_eq!(frame[20], Rat::G4.index() as u8); // source rat
-    assert_eq!(frame[21], Rat::G3.index() as u8); // target rat
-    assert_eq!(frame[22], 0b11); // failure | srvcc flags
-    assert_eq!(&frame[24..26], &[0x04, 0x05]); // cause BE
-    assert_eq!(&frame[26..28], &[0x06, 0x07]); // messages BE
 }

@@ -15,8 +15,15 @@ use telco_lens::stats::ecdf::Ecdf;
 use telco_lens::topology::elements::SectorId;
 use telco_lens::topology::rat::Rat;
 use telco_lens::trace::dataset::SignalingDataset;
-use telco_lens::trace::io::{decode, encode};
 use telco_lens::trace::record::{HoOutcome, HoRecord};
+use telco_lens::trace::store::{TraceReader, TraceWriter};
+
+/// The dataset as a sealed trace stream.
+fn encode(dataset: &SignalingDataset) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), dataset.days).expect("trace header");
+    writer.write_dataset(dataset).expect("trace encode");
+    writer.finish().expect("trace trailer")
+}
 
 fn arb_rat() -> impl Strategy<Value = Rat> {
     prop_oneof![Just(Rat::G2), Just(Rat::G3), Just(Rat::G4), Just(Rat::G5Nr)]
@@ -61,7 +68,10 @@ proptest! {
     #[test]
     fn trace_codec_roundtrips(records in proptest::collection::vec(arb_record(), 0..200)) {
         let dataset = SignalingDataset::from_records(28, records);
-        let decoded = decode(encode(&dataset)).expect("valid frames decode");
+        let bytes = encode(&dataset);
+        let mut reader = TraceReader::new(&bytes[..]).expect("valid header");
+        let decoded = reader.read_to_dataset_strict().expect("valid frames decode");
+        prop_assert_eq!(encode(&decoded), bytes);
         prop_assert_eq!(dataset, decoded);
     }
 

@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use telco_lens::analytics::Study;
 use telco_lens::prelude::*;
-use telco_lens::trace::io::{decode, encode};
+use telco_lens::trace::store::{TraceReader, TraceWriter};
 
 /// One shared study for the whole test binary (a full week so every day
 /// of week is represented).
@@ -37,7 +37,15 @@ fn simulation_is_reproducible_bit_for_bit() {
 #[test]
 fn trace_roundtrips_through_binary_codec() {
     let dataset = study().data().trace.as_dataset().expect("in-memory study");
-    let decoded = decode(encode(dataset)).expect("self-produced trace decodes");
+    let encode = |d: &SignalingDataset| {
+        let mut writer = TraceWriter::new(Vec::new(), d.days).expect("trace header");
+        writer.write_dataset(d).expect("trace encode");
+        writer.finish().expect("trace trailer")
+    };
+    let bytes = encode(dataset);
+    let mut reader = TraceReader::new(&bytes[..]).expect("self-produced header");
+    let decoded = reader.read_to_dataset_strict().expect("self-produced trace decodes");
+    assert_eq!(encode(&decoded), bytes);
     assert_eq!(dataset, &decoded);
 }
 

@@ -99,7 +99,8 @@ pub fn run_study(config: SimConfig) -> StudyData {
 }
 
 /// [`run_study`] in out-of-core mode: per-item runs spill to `spill_dir`
-/// as chunk files and are k-way merged into one sealed trace file there, which [`StudyData::trace`] then streams
+/// as chunk files and are k-way merged into one sealed trace file
+/// there, which [`StudyData::trace`] then streams
 /// chunk-by-chunk — the full trace is never materialized in memory.
 /// Byte-identical to [`run_study`] (same canonical item-order merge);
 /// `spill_dir` must exist and outlive the returned study.
@@ -273,7 +274,8 @@ pub fn run_shard(
 pub const MERGE_FAN_IN: usize = 128;
 
 /// [`run_on_world`] in spill-to-disk mode: each work item's sorted run is
-/// written to `spill_dir` as a chunk file instead of held in RAM, and the runs are k-way merged from disk (multi-pass above
+/// written to `spill_dir` as a chunk file instead of held in RAM, and
+/// the runs are k-way merged from disk (multi-pass above
 /// [`MERGE_FAN_IN`] files). Peak trace memory is bounded by one chunk per
 /// open run rather than the whole dataset.
 ///

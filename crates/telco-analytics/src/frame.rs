@@ -5,7 +5,12 @@
 //! [`SectorDayFrame`] is the §6.3 reshape — one observation per
 //! `(source sector, day, HO type)` with the covariates of Table 3. The
 //! frame is built by [`FramePass`] inside the shared analysis sweep, so a
-//! full study never re-scans the trace for it.
+//! full study never re-scans the trace for it. It is the one counter of
+//! those cells: the analyses that are sums of them (the trace counts,
+//! Figs. 6, 9 and 17, and the full-period frame) are derived from the
+//! finished frame through [`FromDailyFrame`], not counted again.
+
+use std::marker::PhantomData;
 
 use serde::{Deserialize, Serialize};
 
@@ -44,8 +49,6 @@ pub struct Enriched<'a> {
     sector_area: Vec<AreaType>,
     /// Sector → district, indexed by `SectorId.0`.
     sector_district: Vec<DistrictId>,
-    /// Sector → antenna vendor, indexed by `SectorId.0`.
-    sector_vendor: Vec<Vendor>,
     /// Sector → census reliability of its postcode, indexed by `SectorId.0`.
     sector_reliable: Vec<bool>,
     /// UE → device type, indexed by `UeId.0`.
@@ -66,14 +69,12 @@ impl<'a> Enriched<'a> {
         let n_sectors = topo.sectors().len();
         let mut sector_area = Vec::with_capacity(n_sectors);
         let mut sector_district = Vec::with_capacity(n_sectors);
-        let mut sector_vendor = Vec::with_capacity(n_sectors);
         let mut sector_reliable = Vec::with_capacity(n_sectors);
         for s in topo.sectors() {
             let pc = world.country.postcode(topo.sector_postcode(s.id));
             sector_area.push(pc.area_type);
             sector_reliable.push(pc.census_reliable);
             sector_district.push(topo.sector_district(s.id));
-            sector_vendor.push(s.vendor);
         }
         let n_ues = world.ues.len();
         let mut ue_device = Vec::with_capacity(n_ues);
@@ -90,18 +91,12 @@ impl<'a> Enriched<'a> {
             world,
             sector_area,
             sector_district,
-            sector_vendor,
             sector_reliable,
             ue_device,
             ue_mfr,
             ue_mfr_idx,
             ue_home_district,
         }
-    }
-
-    /// The underlying world.
-    pub fn world(&self) -> &'a World {
-        self.world
     }
 
     /// Urban/rural classification of a source sector by raw id.
@@ -122,15 +117,6 @@ impl<'a> Enriched<'a> {
         match self.sector_district.get(sector as usize) {
             Some(&d) => d,
             None => self.world.topology.sector_district(SectorId(sector)),
-        }
-    }
-
-    /// Antenna vendor of a source sector by raw id.
-    #[inline]
-    pub fn vendor_of(&self, sector: u32) -> Vendor {
-        match self.sector_vendor.get(sector as usize) {
-            Some(&v) => v,
-            None => self.world.topology.sector(SectorId(sector)).vendor,
         }
     }
 
@@ -194,33 +180,10 @@ impl<'a> Enriched<'a> {
         self.district_of(r.source_sector.0)
     }
 
-    /// Region of the record's source sector.
-    pub fn region(&self, r: &HoRecord) -> Region {
-        self.world.country.district(self.district(r)).region
-    }
-
-    /// Antenna vendor of the record's source sector.
-    #[inline]
-    pub fn vendor(&self, r: &HoRecord) -> Vendor {
-        self.vendor_of(r.source_sector.0)
-    }
-
     /// Device type of the record's UE.
     #[inline]
     pub fn device_type(&self, r: &HoRecord) -> DeviceType {
         self.device_of(r.ue.0)
-    }
-
-    /// Manufacturer of the record's UE.
-    #[inline]
-    pub fn manufacturer(&self, r: &HoRecord) -> Manufacturer {
-        self.manufacturer_of(r.ue.0)
-    }
-
-    /// Home district of the record's UE (where its home postcode lies).
-    #[inline]
-    pub fn home_district(&self, r: &HoRecord) -> DistrictId {
-        self.home_district_of(r.ue.0)
     }
 }
 
@@ -307,78 +270,101 @@ impl SectorDayFrame {
             })
             .collect()
     }
+
+    /// The full-period frame of this daily frame: its cells summed per
+    /// `(sector, day / n_days, type)`, with `daily_hos` the window total
+    /// divided by `n_days` (at least 1). Days past the study land in later
+    /// windows. The daily sort order makes every window a run of
+    /// neighbouring observations, so the result keeps that order.
+    pub(crate) fn full_period(&self, n_days: u32) -> SectorDayFrame {
+        let n_days = n_days.max(1);
+        let window = |o: &SectorDayObs| (o.sector, o.day / n_days);
+        let mut observations = Vec::new();
+        for run in self.observations.chunk_by(|a, b| window(a) == window(b)) {
+            let mut group = CellGroup::default();
+            for o in run {
+                let cell = &mut group[o.ho_type.index()];
+                cell.0 += o.hos;
+                cell.1 += o.hofs;
+            }
+            let total: u32 = group.iter().map(|c| c.0).sum();
+            for (ho_type, (hos, hofs)) in HoType::ALL.into_iter().zip(group) {
+                if hos > 0 {
+                    observations.push(SectorDayObs {
+                        day: run[0].day / n_days,
+                        ho_type,
+                        hos,
+                        hofs,
+                        daily_hos: (total / n_days).max(1),
+                        ..run[0]
+                    });
+                }
+            }
+        }
+        SectorDayFrame { observations }
+    }
 }
 
-/// One `(sector, window)` group of the frame accumulator: `(hos, hofs)`
-/// per handover type. The window total — the `daily_hos` covariate — is
-/// the sum across types, derived at `finish` instead of being tracked in
-/// a second map.
+/// One `(sector, day)` group of the frame accumulator: `(hos, hofs)` per
+/// handover type. The day total — the `daily_hos` covariate — is the sum
+/// across types, derived at `finish` instead of being tracked in a second
+/// map.
 type CellGroup = [(u32, u32); HoType::ALL.len()];
 
-/// Streaming aggregation state of the §6.3 reshape, independent of how
-/// many records flow through.
+/// Streaming aggregation state of the §6.3 reshape: `(hos, hofs)` per
+/// `(source sector, day, HO type)`, independent of how many records flow
+/// through.
 ///
 /// This is the hottest per-record loop in the analytics layer (the
 /// stream-aggregate benchmark is essentially this plus the codec), so
-/// the layout is chosen for one hash operation per record: a single
-/// [`FxHashMap`] keyed by the packed `sector << 32 | window` word, whose
-/// value carries all three per-type cells inline. The previous shape —
-/// two SipHash maps, `(sector, window, type) → cell` plus
-/// `(sector, window) → total` — cost two randomized-SipHash probes per
-/// record and dominated the profile.
+/// the layout is chosen for one array or hash operation per record: a
+/// dense `sector × day` grid, and an [`FxHashMap`] keyed by the packed
+/// `sector << 32 | day` word for cells outside it, whose value carries
+/// all three per-type cells inline.
+#[derive(Default)]
 pub(crate) struct FrameBuilder {
-    window_days: u32,
-    /// Dense-grid bounds: sector ids `< n_sectors` and windows
-    /// `< n_windows` index `dense` arithmetically; everything else (and
-    /// every cell when no grid was provisioned) goes through `spill`.
+    /// Dense-grid bounds: sector ids `< n_sectors` and days `< n_days`
+    /// index `dense` arithmetically; everything else (and every cell when
+    /// no grid was provisioned) goes through `spill`.
     n_sectors: u32,
-    n_windows: u32,
-    /// `sector * n_windows + window` → per-type `(hos, hofs)` cells.
+    n_days: u32,
+    /// `sector * n_days + day` → per-type `(hos, hofs)` cells.
     dense: Vec<CellGroup>,
-    /// `sector << 32 | window` → cells outside the dense grid.
+    /// `sector << 32 | day` → cells outside the dense grid.
     spill: FxHashMap<u64, CellGroup>,
 }
 
 impl FrameBuilder {
-    pub(crate) fn new(window_days: u32) -> Self {
+    /// A builder with a preallocated `n_sectors × n_days` grid so the hot
+    /// loop indexes arithmetically instead of hashing. The grid is the
+    /// whole topology × study period, so in practice every record lands
+    /// in it; `spill` only exists so ids outside the provisioned world
+    /// still aggregate identically.
+    pub(crate) fn with_grid(n_sectors: usize, n_days: u32) -> Self {
+        let n_days = n_days.max(1);
         FrameBuilder {
-            window_days: window_days.max(1),
-            n_sectors: 0,
-            n_windows: 0,
-            dense: Vec::new(),
+            n_sectors: n_sectors as u32,
+            n_days,
+            dense: vec![CellGroup::default(); n_sectors * n_days as usize],
             spill: FxHashMap::default(),
         }
     }
 
-    /// A builder with a preallocated `n_sectors × n_windows` grid so the
-    /// hot loop indexes arithmetically instead of hashing. The grid is
-    /// the whole topology × study period, so in practice every record
-    /// lands in it; `spill` only exists so ids outside the provisioned
-    /// world still aggregate identically.
-    pub(crate) fn with_grid(window_days: u32, n_sectors: usize, n_windows: u32) -> Self {
-        let mut b = FrameBuilder::new(window_days);
-        b.n_sectors = n_sectors as u32;
-        b.n_windows = n_windows.max(1);
-        b.dense = vec![CellGroup::default(); n_sectors * b.n_windows as usize];
-        b
-    }
-
     #[inline]
-    fn cell_group(&mut self, sector: u32, window: u32) -> &mut CellGroup {
-        if sector < self.n_sectors && window < self.n_windows {
-            let idx = sector as usize * self.n_windows as usize + window as usize;
+    fn cell_group(&mut self, sector: u32, day: u32) -> &mut CellGroup {
+        if sector < self.n_sectors && day < self.n_days {
+            let idx = sector as usize * self.n_days as usize + day as usize;
             if let Some(group) = self.dense.get_mut(idx) {
                 return group;
             }
         }
-        let key = (u64::from(sector) << 32) | u64::from(window);
+        let key = (u64::from(sector) << 32) | u64::from(day);
         self.spill.entry(key).or_default()
     }
 
     #[inline]
     pub(crate) fn add(&mut self, r: &HoRecord) {
-        let window = r.day() / self.window_days;
-        let group = self.cell_group(r.source_sector.0, window);
+        let group = self.cell_group(r.source_sector.0, r.day());
         let cell = &mut group[r.ho_type().index()];
         cell.0 += 1;
         cell.1 += u32::from(r.is_failure());
@@ -388,7 +374,6 @@ impl FrameBuilder {
     /// reading only the three columns the frame actually needs.
     #[inline]
     pub(crate) fn add_columns(&mut self, batch: &ColumnBatch) {
-        let window_days = self.window_days;
         let rows = batch
             .timestamps()
             .iter()
@@ -396,8 +381,7 @@ impl FrameBuilder {
             .zip(batch.target_rats())
             .zip(batch.flags());
         for (((&ts, &sector), &rat), &flags) in rows {
-            let window = (ts / 86_400_000) as u32 / window_days;
-            let group = self.cell_group(sector, window);
+            let group = self.cell_group(sector, (ts / 86_400_000) as u32);
             let cell = &mut group[HoType::from_target_rat(rat).index()];
             cell.0 += 1;
             cell.1 += u32::from(flags & FLAG_FAILURE != 0);
@@ -407,7 +391,7 @@ impl FrameBuilder {
     // telco-lint: deny-nondeterminism(begin)
     /// Fold another builder's cells into this one. Both stores hold
     /// purely additive counters and the dense/spill split is a pure
-    /// function of (sector, window) shared by both sides, so the fold is
+    /// function of (sector, day) shared by both sides, so the fold is
     /// order-independent and a partitioned parallel sweep merges to the
     /// sequential result.
     pub(crate) fn merge(&mut self, other: FrameBuilder) {
@@ -432,9 +416,8 @@ impl FrameBuilder {
     /// Encode the accumulator. Spill cells are written in sorted key
     /// order so the bytes never depend on hash-insertion history.
     pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u32(self.window_days);
         w.put_u32(self.n_sectors);
-        w.put_u32(self.n_windows);
+        w.put_u32(self.n_days);
         w.put_varint(self.dense.len() as u64);
         for group in &self.dense {
             for &(hos, hofs) in group {
@@ -458,10 +441,12 @@ impl FrameBuilder {
         let get_u32_counter = |r: &mut SnapReader| -> Result<u32, SnapError> {
             u32::try_from(r.get_varint()?).map_err(|_| SnapError::Malformed("cell count overflow"))
         };
-        self.window_days = r.get_u32()?;
         self.n_sectors = r.get_u32()?;
-        self.n_windows = r.get_u32()?;
+        self.n_days = r.get_u32()?;
         let n = r.get_len()?;
+        if n != self.n_sectors as usize * self.n_days as usize {
+            return Err(SnapError::Malformed("frame grid size"));
+        }
         self.dense = vec![CellGroup::default(); n];
         for group in &mut self.dense {
             for cell in group {
@@ -484,8 +469,10 @@ impl FrameBuilder {
         Ok(())
     }
 
+    /// The daily frame: one observation per `(sector, day, type)` cell
+    /// with handovers, sorted by sector, day and type.
     pub(crate) fn finish(self, world: &World) -> SectorDayFrame {
-        let FrameBuilder { window_days, n_windows, dense, spill, .. } = self;
+        let FrameBuilder { n_days, dense, spill, .. } = self;
         let mut observations: Vec<SectorDayObs> = Vec::with_capacity(spill.len());
         let mut emit = |sector: u32, day: u32, group: &CellGroup| {
             let total: u32 = group.iter().map(|c| c.0).sum();
@@ -506,7 +493,7 @@ impl FrameBuilder {
                     ho_type: HoType::ALL[type_idx],
                     hos,
                     hofs,
-                    daily_hos: (total / window_days).max(1),
+                    daily_hos: total,
                     area: postcode.area_type,
                     vendor: world.topology.sector(sector_id).vendor,
                     region: district.region,
@@ -515,7 +502,7 @@ impl FrameBuilder {
             }
         };
         for (idx, group) in dense.iter().enumerate() {
-            let (sector, day) = (idx as u32 / n_windows, idx as u32 % n_windows);
+            let (sector, day) = (idx as u32 / n_days, idx as u32 % n_days);
             emit(sector, day, group);
         }
         for (&key, group) in &spill {
@@ -528,18 +515,21 @@ impl FrameBuilder {
     }
 }
 
-/// The [`SectorDayFrame`] as a sweep pass: `Daily` windows for the
-/// Appendix-B vendor boxplots, `FullPeriod` for the §6.3 models.
+/// The [`SectorDayFrame`] as a sweep pass. Both windows count the same
+/// daily cells; `FullPeriod` sums them per study period at `end` for the
+/// §6.3 models.
+#[derive(Default)]
 pub struct FramePass {
     window: FrameWindow,
     builder: FrameBuilder,
 }
 
 /// Window mode of a [`FramePass`], resolved against the study config at
-/// `begin` time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `end` time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrameWindow {
     /// One observation per `(sector, day, type)`.
+    #[default]
     Daily,
     /// One observation per `(sector, study period, type)`.
     FullPeriod,
@@ -548,7 +538,7 @@ pub enum FrameWindow {
 impl FramePass {
     /// A pass with the given window mode.
     pub fn new(window: FrameWindow) -> Self {
-        FramePass { window, builder: FrameBuilder::new(1) }
+        FramePass { window, builder: FrameBuilder::default() }
     }
 }
 
@@ -556,12 +546,8 @@ impl AnalysisPass for FramePass {
     type Output = SectorDayFrame;
 
     fn begin(&mut self, ctx: &SweepCtx) {
-        let days = match self.window {
-            FrameWindow::Daily => 1,
-            FrameWindow::FullPeriod => ctx.config.n_days.max(1),
-        };
-        let n_windows = ctx.config.n_days.max(1).div_ceil(days.max(1));
-        self.builder = FrameBuilder::with_grid(days, ctx.world.topology.sectors().len(), n_windows);
+        self.builder =
+            FrameBuilder::with_grid(ctx.world.topology.sectors().len(), ctx.config.n_days);
     }
 
     fn record(&mut self, r: &HoRecord, _e: &Enriched) {
@@ -579,10 +565,14 @@ impl AnalysisPass for FramePass {
     }
 
     fn end(self, ctx: &SweepCtx) -> SectorDayFrame {
-        self.builder.finish(ctx.world)
+        let daily = self.builder.finish(ctx.world);
+        match self.window {
+            FrameWindow::Daily => daily,
+            FrameWindow::FullPeriod => daily.full_period(ctx.config.n_days),
+        }
     }
 
-    const SNAPSHOT_VERSION: u16 = 1;
+    const SNAPSHOT_VERSION: u16 = 2;
 
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_u8(match self.window {
@@ -599,6 +589,64 @@ impl AnalysisPass for FramePass {
             _ => return Err(SnapError::Malformed("frame window tag")),
         };
         self.builder.restore(r)
+    }
+}
+
+/// An analysis computed from the finished daily [`SectorDayFrame`]
+/// instead of from records: a projection of its `(sector, day, type)`
+/// cells.
+pub trait FromDailyFrame {
+    /// Derive the analysis from the daily frame.
+    fn from_daily_frame(frame: &SectorDayFrame, ctx: &SweepCtx) -> Self;
+}
+
+/// A sweep pass for an analysis derived from the daily frame: it counts
+/// the daily [`FramePass`] cells, and its `end` derives `T` from the
+/// finished frame. Its state and snapshot are the daily frame's.
+pub struct DerivedPass<T> {
+    frame: FramePass,
+    output: PhantomData<fn() -> T>,
+}
+
+impl<T> Default for DerivedPass<T> {
+    fn default() -> Self {
+        DerivedPass { frame: FramePass::default(), output: PhantomData }
+    }
+}
+
+impl<T: FromDailyFrame> AnalysisPass for DerivedPass<T> {
+    type Output = T;
+
+    fn begin(&mut self, ctx: &SweepCtx) {
+        self.frame.begin(ctx);
+    }
+
+    fn record(&mut self, r: &HoRecord, e: &Enriched) {
+        self.frame.record(r, e);
+    }
+
+    // telco-lint: deny-alloc(begin)
+    fn record_columns(&mut self, batch: &ColumnBatch, e: &Enriched) {
+        self.frame.record_columns(batch, e);
+    }
+    // telco-lint: deny-alloc(end)
+
+    fn merge(&mut self, other: Self, ctx: &SweepCtx) {
+        self.frame.merge(other.frame, ctx);
+    }
+
+    fn end(self, ctx: &SweepCtx) -> T {
+        T::from_daily_frame(&self.frame.end(ctx), ctx)
+    }
+
+    const SNAPSHOT_VERSION: u16 = FramePass::SNAPSHOT_VERSION;
+
+    fn snapshot(&self, w: &mut SnapWriter) {
+        self.frame.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        self.frame.restore(r)
     }
 }
 

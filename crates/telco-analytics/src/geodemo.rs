@@ -1,6 +1,7 @@
 //! §4.3 — Geodemographic segmentation: population inference from
-//! night-time connectivity (Fig. 5) and the HO-density vs
-//! population-density relationship (Fig. 6), as streaming passes.
+//! night-time connectivity (Fig. 5) as a streaming pass, and the
+//! HO-density vs population-density relationship (Fig. 6), derived from
+//! the daily sector frame.
 
 use serde::{Deserialize, Serialize};
 
@@ -11,7 +12,7 @@ use telco_trace::hash::{FxHashMap, FxHashSet};
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::frame::Enriched;
+use crate::frame::{DerivedPass, Enriched, FromDailyFrame, SectorDayFrame};
 use crate::sweep::{AnalysisPass, SweepCtx};
 use crate::tables::{num, TextTable};
 
@@ -278,42 +279,15 @@ impl HoDensity {
     }
 }
 
-/// Streaming accumulator for [`HoDensity`]: handover counts per district.
-#[derive(Debug, Default)]
-pub struct HoDensityPass {
-    per_district_hos: Vec<u64>,
-}
-
-impl AnalysisPass for HoDensityPass {
-    type Output = HoDensity;
-
-    fn begin(&mut self, ctx: &SweepCtx) {
-        self.per_district_hos = vec![0u64; ctx.world.country.districts().len()];
-    }
-
-    fn record(&mut self, r: &HoRecord, e: &Enriched) {
-        let d = e.district(r);
-        self.per_district_hos[d.0 as usize] += 1;
-    }
-
-    // telco-lint: deny-alloc(begin)
-    fn record_columns(&mut self, batch: &ColumnBatch, e: &Enriched) {
-        for &sector in batch.source_sectors() {
-            let d = e.district_of(sector);
-            if let Some(count) = self.per_district_hos.get_mut(d.0 as usize) {
-                *count += 1;
+impl FromDailyFrame for HoDensity {
+    fn from_daily_frame(frame: &SectorDayFrame, ctx: &SweepCtx) -> Self {
+        let mut per_district_hos = vec![0u64; ctx.world.country.districts().len()];
+        for o in frame.observations() {
+            let d = ctx.world.topology.sector_district(o.sector);
+            if let Some(count) = per_district_hos.get_mut(d.0 as usize) {
+                *count += u64::from(o.hos);
             }
         }
-    }
-    // telco-lint: deny-alloc(end)
-
-    fn merge(&mut self, other: Self, _ctx: &SweepCtx) {
-        for (mine, theirs) in self.per_district_hos.iter_mut().zip(other.per_district_hos) {
-            *mine += theirs;
-        }
-    }
-
-    fn end(self, ctx: &SweepCtx) -> HoDensity {
         let days = ctx.config.n_days.max(1) as f64;
         let per_district: Vec<(DistrictId, f64, f64)> = ctx
             .world
@@ -321,7 +295,7 @@ impl AnalysisPass for HoDensityPass {
             .districts()
             .iter()
             .map(|d| {
-                let hos_per_km2 = self.per_district_hos[d.id.0 as usize] as f64 / days / d.area_km2;
+                let hos_per_km2 = per_district_hos[d.id.0 as usize] as f64 / days / d.area_km2;
                 (d.id, hos_per_km2, d.population_density())
             })
             .collect();
@@ -336,18 +310,10 @@ impl AnalysisPass for HoDensityPass {
             per_district,
         }
     }
-
-    const SNAPSHOT_VERSION: u16 = 1;
-
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u64s(&self.per_district_hos);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.per_district_hos = r.get_u64s()?;
-        Ok(())
-    }
 }
+
+/// The [`HoDensity`] pass: the daily frame, summed per district at `end`.
+pub type HoDensityPass = DerivedPass<HoDensity>;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
 //! §5.2 — Horizontal vs vertical handovers: the Table 2 type × device-type
-//! breakdown, the Fig. 8 duration ECDFs, and the Fig. 9 per-district
-//! distribution of handover types — each as a streaming [`AnalysisPass`].
+//! breakdown and the Fig. 8 duration ECDFs as streaming [`AnalysisPass`]es,
+//! and the Fig. 9 per-district distribution of handover types, derived
+//! from the daily sector frame.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +14,7 @@ use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::frame::Enriched;
+use crate::frame::{DerivedPass, Enriched, FromDailyFrame, SectorDayFrame};
 use crate::sweep::{AnalysisPass, SweepCtx};
 use crate::tables::{num, pct, TextTable};
 
@@ -340,52 +341,23 @@ impl DistrictDistribution {
     }
 }
 
-/// Streaming accumulator for [`DistrictDistribution`]: per-district
-/// type counts keyed by source-sector district.
-#[derive(Debug, Default)]
-pub struct DistrictPass {
-    counts: Vec<[u64; 3]>,
-}
-
-impl AnalysisPass for DistrictPass {
-    type Output = DistrictDistribution;
-
-    fn begin(&mut self, ctx: &SweepCtx) {
-        self.counts = vec![[0u64; 3]; ctx.world.country.districts().len()];
-    }
-
-    fn record(&mut self, r: &HoRecord, e: &Enriched) {
-        let d = e.district(r);
-        self.counts[d.0 as usize][r.ho_type().index()] += 1;
-    }
-
-    // telco-lint: deny-alloc(begin)
-    fn record_columns(&mut self, batch: &ColumnBatch, e: &Enriched) {
-        for (&sector, &rat) in batch.source_sectors().iter().zip(batch.target_rats()) {
-            let d = e.district_of(sector);
-            if let Some(row) = self.counts.get_mut(d.0 as usize) {
-                row[HoType::from_target_rat(rat).index()] += 1;
+impl FromDailyFrame for DistrictDistribution {
+    fn from_daily_frame(frame: &SectorDayFrame, ctx: &SweepCtx) -> Self {
+        // Per-district type counts, keyed by source-sector district.
+        let mut counts = vec![[0u64; 3]; ctx.world.country.districts().len()];
+        for o in frame.observations() {
+            let d = ctx.world.topology.sector_district(o.sector);
+            if let Some(row) = counts.get_mut(d.0 as usize) {
+                row[o.ho_type.index()] += u64::from(o.hos);
             }
         }
-    }
-    // telco-lint: deny-alloc(end)
-
-    fn merge(&mut self, other: Self, _ctx: &SweepCtx) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
-            for (c, t) in mine.iter_mut().zip(theirs) {
-                *c += t;
-            }
-        }
-    }
-
-    fn end(self, ctx: &SweepCtx) -> DistrictDistribution {
         let per_district: Vec<(DistrictId, f64, f64, f64)> = ctx
             .world
             .country
             .districts()
             .iter()
             .map(|d| {
-                let c = self.counts[d.id.0 as usize];
+                let c = counts[d.id.0 as usize];
                 let total = (c[0] + c[1] + c[2]).max(1) as f64;
                 (d.id, c[0] as f64 / total, c[1] as f64 / total, c[2] as f64 / total)
             })
@@ -401,29 +373,11 @@ impl AnalysisPass for DistrictPass {
             per_district,
         }
     }
-
-    const SNAPSHOT_VERSION: u16 = 1;
-
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_varint(self.counts.len() as u64);
-        for row in &self.counts {
-            for &c in row {
-                w.put_varint(c);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let districts = r.get_len()?;
-        self.counts = vec![[0u64; 3]; districts];
-        for row in &mut self.counts {
-            for c in row {
-                *c = r.get_varint()?;
-            }
-        }
-        Ok(())
-    }
 }
+
+/// The [`DistrictDistribution`] pass: the daily frame, summed per
+/// district at `end`.
+pub type DistrictPass = DerivedPass<DistrictDistribution>;
 
 #[cfg(test)]
 mod tests {

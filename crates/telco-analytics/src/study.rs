@@ -2,20 +2,22 @@
 //! record-derived analysis in a single shared sweep of the trace.
 //!
 //! The first call to any swept getter triggers one [`Sweep`] that runs
-//! the [`StudyPasses`] composite — all ~12 record analyses plus both
-//! sector frames as one visitor — so a full study traverses the trace
-//! once whether it lives in memory or spilled on disk. Analyses that
-//! read only the world or the mobility output (device mix, RAT usage,
-//! deployment evolution, mobility ECDFs) never touch the trace at all.
+//! the [`StudyPasses`] composite — eight record analyses plus the daily
+//! sector frame as one visitor — so a full study traverses the trace
+//! once whether it lives in memory or spilled on disk. The trace counts,
+//! Figs. 6, 9 and 17 and the full-period frame are sums of the daily
+//! frame's cells, derived from it at `end`. Analyses that read only the
+//! world or the mobility output (device mix, RAT usage, deployment
+//! evolution, mobility ECDFs) never touch the trace at all.
 
 use serde::Serialize;
 use telco_sim::{run_study, SimConfig, StudyData};
 use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::frame::{FramePass, FrameWindow, SectorDayFrame};
-use crate::geodemo::{HoDensity, HoDensityPass, PopulationInference, PopulationPass};
+use crate::frame::{FramePass, FromDailyFrame, SectorDayFrame};
+use crate::geodemo::{HoDensity, PopulationInference, PopulationPass};
 use crate::handovers::{
-    DistrictDistribution, DistrictPass, DurationAnalysis, DurationPass, HoTypePass, HoTypeTable,
+    DistrictDistribution, DurationAnalysis, DurationPass, HoTypePass, HoTypeTable,
 };
 use crate::heterogeneity::{DatasetStats, DeploymentEvolution, DeviceMix, RatUsage};
 use crate::hof::{CauseAnalysis, CausePass, HofPatterns, HofPatternsPass};
@@ -23,11 +25,9 @@ use crate::manufacturer::{ManufacturerImpact, ManufacturerPass};
 use crate::mobility_analysis::{HofVsMobility, MobilityEcdfs};
 use crate::modeling::{HofModels, ModelingOptions};
 use crate::pingpong::{PingPongAnalysis, PingPongPass};
-use crate::sweep::{
-    restore_pass, snapshot_pass, AnalysisPass, Sweep, SweepCtx, TraceCounts, TraceCountsPass,
-};
+use crate::sweep::{restore_pass, snapshot_pass, AnalysisPass, Sweep, SweepCtx, TraceCounts};
 use crate::timeseries::{TemporalEvolution, TemporalPass};
-use crate::vendor_analysis::{VendorAnalysis, VendorPass};
+use crate::vendor_analysis::VendorAnalysis;
 
 /// Everything one shared sweep produces: the full set of record-derived
 /// analyses plus both sector frames. Serializes (for the query front of
@@ -65,70 +65,48 @@ pub struct SweepOutputs {
     pub period_frame: SectorDayFrame,
 }
 
-/// The composite pass behind [`Study`]: every registered analysis as one
-/// visitor, so the sweep driver feeds each record to all of them during a
-/// single traversal.
+/// The composite pass behind [`Study`]: every record analysis and the
+/// daily sector frame as one visitor, so the sweep driver feeds each
+/// record to all of them during a single traversal. Its `end` derives the
+/// outputs that are sums of the daily frame's cells.
 #[derive(Default)]
 pub struct StudyPasses {
-    counts: TraceCountsPass,
     ho_types: HoTypePass,
     durations: DurationPass,
-    districts: DistrictPass,
     population: PopulationPass,
-    density: HoDensityPass,
     temporal: TemporalPass,
     manufacturer: ManufacturerPass,
     hof_patterns: HofPatternsPass,
     causes: CausePass,
     pingpong: PingPongPass,
-    vendor: VendorPass,
-    frame: Option<FramePass>,
-    period_frame: Option<FramePass>,
+    frame: FramePass,
 }
 
 impl AnalysisPass for StudyPasses {
     type Output = SweepOutputs;
 
     fn begin(&mut self, ctx: &SweepCtx) {
-        self.counts.begin(ctx);
         self.ho_types.begin(ctx);
         self.durations.begin(ctx);
-        self.districts.begin(ctx);
         self.population.begin(ctx);
-        self.density.begin(ctx);
         self.temporal.begin(ctx);
         self.manufacturer.begin(ctx);
         self.hof_patterns.begin(ctx);
         self.causes.begin(ctx);
         self.pingpong.begin(ctx);
-        self.vendor.begin(ctx);
-        let mut frame = FramePass::new(FrameWindow::Daily);
-        frame.begin(ctx);
-        self.frame = Some(frame);
-        let mut period = FramePass::new(FrameWindow::FullPeriod);
-        period.begin(ctx);
-        self.period_frame = Some(period);
+        self.frame.begin(ctx);
     }
 
     fn record(&mut self, r: &telco_trace::record::HoRecord, e: &crate::frame::Enriched) {
-        self.counts.record(r, e);
         self.ho_types.record(r, e);
         self.durations.record(r, e);
-        self.districts.record(r, e);
         self.population.record(r, e);
-        self.density.record(r, e);
         self.temporal.record(r, e);
         self.manufacturer.record(r, e);
         self.hof_patterns.record(r, e);
         self.causes.record(r, e);
         self.pingpong.record(r, e);
-        self.vendor.record(r, e);
-        if let Some(frame) = &mut self.frame {
-            frame.record(r, e);
-        }
-        if let Some(period) = &mut self.period_frame {
-            period.record(r, e);
-        }
+        self.frame.record(r, e);
     }
 
     // telco-lint: deny-alloc(begin)
@@ -142,124 +120,78 @@ impl AnalysisPass for StudyPasses {
         // working set being dragged through the cache per record, and the
         // sub-passes that read only a couple of columns skip the rest of
         // the batch entirely.
-        self.counts.record_columns(batch, e);
         self.ho_types.record_columns(batch, e);
         self.durations.record_columns(batch, e);
-        self.districts.record_columns(batch, e);
         self.population.record_columns(batch, e);
-        self.density.record_columns(batch, e);
         self.temporal.record_columns(batch, e);
         self.manufacturer.record_columns(batch, e);
         self.hof_patterns.record_columns(batch, e);
         self.causes.record_columns(batch, e);
         self.pingpong.record_columns(batch, e);
-        self.vendor.record_columns(batch, e);
-        if let Some(frame) = &mut self.frame {
-            frame.record_columns(batch, e);
-        }
-        if let Some(period) = &mut self.period_frame {
-            period.record_columns(batch, e);
-        }
+        self.frame.record_columns(batch, e);
     }
     // telco-lint: deny-alloc(end)
 
     fn merge(&mut self, other: Self, ctx: &SweepCtx) {
-        self.counts.merge(other.counts, ctx);
         self.ho_types.merge(other.ho_types, ctx);
         self.durations.merge(other.durations, ctx);
-        self.districts.merge(other.districts, ctx);
         self.population.merge(other.population, ctx);
-        self.density.merge(other.density, ctx);
         self.temporal.merge(other.temporal, ctx);
         self.manufacturer.merge(other.manufacturer, ctx);
         self.hof_patterns.merge(other.hof_patterns, ctx);
         self.causes.merge(other.causes, ctx);
         self.pingpong.merge(other.pingpong, ctx);
-        self.vendor.merge(other.vendor, ctx);
-        if let (Some(frame), Some(theirs)) = (&mut self.frame, other.frame) {
-            frame.merge(theirs, ctx);
-        }
-        if let (Some(period), Some(theirs)) = (&mut self.period_frame, other.period_frame) {
-            period.merge(theirs, ctx);
-        }
+        self.frame.merge(other.frame, ctx);
     }
 
     fn end(self, ctx: &SweepCtx) -> SweepOutputs {
-        let frame = self.frame.expect("begin ran").end(ctx);
-        let vendor_counts = self.vendor.end(ctx);
+        let frame = self.frame.end(ctx);
         SweepOutputs {
-            trace_counts: self.counts.end(ctx),
+            trace_counts: TraceCounts::from_daily_frame(&frame, ctx),
             ho_types: self.ho_types.end(ctx),
             durations: self.durations.end(ctx),
-            district_distribution: self.districts.end(ctx),
+            district_distribution: DistrictDistribution::from_daily_frame(&frame, ctx),
             population_inference: self.population.end(ctx),
-            ho_density: self.density.end(ctx),
+            ho_density: HoDensity::from_daily_frame(&frame, ctx),
             temporal_evolution: self.temporal.end(ctx),
             manufacturer_impact: self.manufacturer.end(ctx),
             hof_patterns: self.hof_patterns.end(ctx),
             causes: self.causes.end(ctx),
             pingpong: self.pingpong.end(ctx),
-            vendor_analysis: VendorAnalysis::from_parts(ctx.world, vendor_counts, &frame),
-            period_frame: self.period_frame.expect("begin ran").end(ctx),
+            vendor_analysis: VendorAnalysis::from_daily_frame(&frame, ctx),
+            period_frame: frame.full_period(ctx.config.n_days),
             frame,
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 1;
+    const SNAPSHOT_VERSION: u16 = 2;
 
     /// The composite embeds one full frame (magic + version + CRC) per
     /// sub-pass, so a version bump in any single analysis invalidates a
     /// stale composite snapshot with a precise per-pass error instead of
     /// silently misparsing the neighbors' bytes.
     fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_bytes(&snapshot_pass(&self.counts));
         w.put_bytes(&snapshot_pass(&self.ho_types));
         w.put_bytes(&snapshot_pass(&self.durations));
-        w.put_bytes(&snapshot_pass(&self.districts));
         w.put_bytes(&snapshot_pass(&self.population));
-        w.put_bytes(&snapshot_pass(&self.density));
         w.put_bytes(&snapshot_pass(&self.temporal));
         w.put_bytes(&snapshot_pass(&self.manufacturer));
         w.put_bytes(&snapshot_pass(&self.hof_patterns));
         w.put_bytes(&snapshot_pass(&self.causes));
         w.put_bytes(&snapshot_pass(&self.pingpong));
-        w.put_bytes(&snapshot_pass(&self.vendor));
-        for frame in [&self.frame, &self.period_frame] {
-            match frame {
-                None => w.put_bool(false),
-                Some(pass) => {
-                    w.put_bool(true);
-                    w.put_bytes(&snapshot_pass(pass));
-                }
-            }
-        }
+        w.put_bytes(&snapshot_pass(&self.frame));
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        restore_pass(&mut self.counts, r.get_bytes()?)?;
         restore_pass(&mut self.ho_types, r.get_bytes()?)?;
         restore_pass(&mut self.durations, r.get_bytes()?)?;
-        restore_pass(&mut self.districts, r.get_bytes()?)?;
         restore_pass(&mut self.population, r.get_bytes()?)?;
-        restore_pass(&mut self.density, r.get_bytes()?)?;
         restore_pass(&mut self.temporal, r.get_bytes()?)?;
         restore_pass(&mut self.manufacturer, r.get_bytes()?)?;
         restore_pass(&mut self.hof_patterns, r.get_bytes()?)?;
         restore_pass(&mut self.causes, r.get_bytes()?)?;
         restore_pass(&mut self.pingpong, r.get_bytes()?)?;
-        restore_pass(&mut self.vendor, r.get_bytes()?)?;
-        for slot in [&mut self.frame, &mut self.period_frame] {
-            *slot = if r.get_bool()? {
-                // The window mode placeholder is overwritten by the
-                // frame's own snapshot bytes.
-                let mut pass = FramePass::new(FrameWindow::Daily);
-                restore_pass(&mut pass, r.get_bytes()?)?;
-                Some(pass)
-            } else {
-                None
-            };
-        }
-        Ok(())
+        restore_pass(&mut self.frame, r.get_bytes()?)
     }
 }
 

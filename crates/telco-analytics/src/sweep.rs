@@ -44,15 +44,14 @@
 //! stitching) keeps explicit first/last edge state precisely so its
 //! merge is exact wherever the seam lands.
 
-use telco_signaling::messages::HoType;
 use telco_sim::{SimConfig, StudyData, World};
-use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
+use telco_trace::columnar::ColumnBatch;
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{decode_frame, encode_frame, SnapError, SnapReader, SnapWriter};
 use telco_trace::source::Span;
 use telco_trace::store::ChunkIssue;
 
-use crate::frame::Enriched;
+use crate::frame::{DerivedPass, Enriched, FromDailyFrame, SectorDayFrame};
 
 /// Shared context handed to every pass hook: the world for joins and the
 /// config for scale parameters. Never carries the trace — records only
@@ -262,70 +261,20 @@ impl TraceCounts {
     }
 }
 
-/// The [`TraceCounts`] accumulator.
-#[derive(Debug, Default)]
-pub struct TraceCountsPass {
-    counts: TraceCounts,
+impl FromDailyFrame for TraceCounts {
+    fn from_daily_frame(frame: &SectorDayFrame, ctx: &SweepCtx) -> Self {
+        let mut counts = TraceCounts { days: ctx.config.n_days, ..TraceCounts::default() };
+        for o in frame.observations() {
+            counts.records += u64::from(o.hos);
+            counts.by_type[o.ho_type.index()] += u64::from(o.hos);
+            counts.failures += u64::from(o.hofs);
+        }
+        counts
+    }
 }
 
-impl AnalysisPass for TraceCountsPass {
-    type Output = TraceCounts;
-
-    fn begin(&mut self, ctx: &SweepCtx) {
-        self.counts = TraceCounts { days: ctx.config.n_days, ..TraceCounts::default() };
-    }
-
-    fn record(&mut self, r: &HoRecord, _e: &Enriched) {
-        self.counts.records += 1;
-        self.counts.by_type[r.ho_type().index()] += 1;
-        self.counts.failures += u64::from(r.is_failure());
-    }
-
-    // telco-lint: deny-alloc(begin)
-    fn record_columns(&mut self, batch: &ColumnBatch, _e: &Enriched) {
-        self.counts.records += batch.len() as u64;
-        for &rat in batch.target_rats() {
-            self.counts.by_type[HoType::from_target_rat(rat).index()] += 1;
-        }
-        for &flags in batch.flags() {
-            self.counts.failures += u64::from(flags & FLAG_FAILURE != 0);
-        }
-    }
-    // telco-lint: deny-alloc(end)
-
-    fn merge(&mut self, other: Self, _ctx: &SweepCtx) {
-        self.counts.records += other.counts.records;
-        self.counts.failures += other.counts.failures;
-        for (mine, theirs) in self.counts.by_type.iter_mut().zip(other.counts.by_type) {
-            *mine += theirs;
-        }
-    }
-
-    fn end(self, _ctx: &SweepCtx) -> TraceCounts {
-        self.counts
-    }
-
-    const SNAPSHOT_VERSION: u16 = 1;
-
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_varint(self.counts.records);
-        for &n in &self.counts.by_type {
-            w.put_varint(n);
-        }
-        w.put_varint(self.counts.failures);
-        w.put_u32(self.counts.days);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.counts.records = r.get_varint()?;
-        for slot in &mut self.counts.by_type {
-            *slot = r.get_varint()?;
-        }
-        self.counts.failures = r.get_varint()?;
-        self.counts.days = r.get_u32()?;
-        Ok(())
-    }
-}
+/// The [`TraceCounts`] pass: the daily frame, summed at `end`.
+pub type TraceCountsPass = DerivedPass<TraceCounts>;
 
 #[cfg(test)]
 mod tests {

@@ -1,21 +1,16 @@
 //! Appendix B — vendor and area effects (Figs. 17 and 18): vendor shares
 //! per region and per handover type, and HOF-rate boxplots per vendor and
-//! per area.
+//! per area, derived from the daily sector frame.
 
 use serde::{Deserialize, Serialize};
 
 use telco_geo::district::Region;
 use telco_geo::postcode::AreaType;
-use telco_signaling::messages::HoType;
-use telco_sim::World;
 use telco_stats::boxplot::BoxplotStats;
 use telco_topology::vendor::Vendor;
-use telco_trace::columnar::ColumnBatch;
-use telco_trace::record::HoRecord;
-use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::frame::{Enriched, SectorDayFrame};
-use crate::sweep::{AnalysisPass, SweepCtx};
+use crate::frame::{DerivedPass, FromDailyFrame, SectorDayFrame};
+use crate::sweep::SweepCtx;
 use crate::tables::{num, pct, TextTable};
 
 /// Figs. 17–18 — vendor/area breakdowns.
@@ -31,11 +26,9 @@ pub struct VendorAnalysis {
     pub hof_by_area: Vec<Option<BoxplotStats>>,
 }
 
-impl VendorAnalysis {
-    /// Assemble from the swept per-type vendor counts plus the sector-day
-    /// frame (itself filled by the same sweep via
-    /// [`crate::frame::FramePass`]).
-    pub fn from_parts(world: &World, type_counts: [[u64; 4]; 3], frame: &SectorDayFrame) -> Self {
+impl FromDailyFrame for VendorAnalysis {
+    fn from_daily_frame(frame: &SectorDayFrame, ctx: &SweepCtx) -> Self {
+        let world = ctx.world;
         // Fig. 17 top: sectors per region.
         let mut reg_counts = [[0u64; 4]; 4];
         for s in world.topology.sectors() {
@@ -51,22 +44,25 @@ impl VendorAnalysis {
             }
         }
 
-        // Fig. 17 bottom: handovers per type by source-sector vendor.
+        // Fig. 17 bottom: handovers per type by source-sector vendor. Fig.
+        // 18: HOF-rate distributions by vendor / area over cells with
+        // enough handovers to make the rate meaningful.
+        let mut type_counts = [[0u64; 4]; 3];
+        let mut by_vendor: [Vec<f64>; 4] = Default::default();
+        let mut by_area: [Vec<f64>; 2] = Default::default();
+        for o in frame.observations() {
+            type_counts[o.ho_type.index()][o.vendor.index()] += u64::from(o.hos);
+            if o.hos >= 3 {
+                by_vendor[o.vendor.index()].push(o.hof_rate_pct());
+                by_area[o.area.index()].push(o.hof_rate_pct());
+            }
+        }
         let mut hos_by_type = [[0.0; 4]; 3];
         for t in 0..3 {
             let total: u64 = type_counts[t].iter().sum();
             for v in 0..4 {
                 hos_by_type[t][v] = type_counts[t][v] as f64 / total.max(1) as f64;
             }
-        }
-
-        // Fig. 18: HOF-rate distributions by vendor / area over cells with
-        // enough handovers to make the rate meaningful.
-        let mut by_vendor: [Vec<f64>; 4] = Default::default();
-        let mut by_area: [Vec<f64>; 2] = Default::default();
-        for o in frame.observations().iter().filter(|o| o.hos >= 3) {
-            by_vendor[o.vendor.index()].push(o.hof_rate_pct());
-            by_area[o.area.index()].push(o.hof_rate_pct());
         }
         VendorAnalysis {
             sectors_by_region,
@@ -75,7 +71,9 @@ impl VendorAnalysis {
             hof_by_area: by_area.iter().map(|v| BoxplotStats::of(v)).collect(),
         }
     }
+}
 
+impl VendorAnalysis {
     /// Render Fig. 17.
     pub fn table_shares(&self) -> TextTable {
         let mut t = TextTable::new(
@@ -113,67 +111,13 @@ impl VendorAnalysis {
     }
 }
 
-/// Streaming accumulator for the record-derived half of
-/// [`VendorAnalysis`]: handovers per (type, source-sector vendor). The
-/// frame-derived boxplots come from [`crate::frame::FramePass`], joined by
-/// [`VendorAnalysis::from_parts`].
-#[derive(Debug, Default)]
-pub struct VendorPass {
-    type_counts: [[u64; 4]; 3],
-}
-
-impl AnalysisPass for VendorPass {
-    type Output = [[u64; 4]; 3];
-
-    fn record(&mut self, r: &HoRecord, e: &Enriched) {
-        self.type_counts[r.ho_type().index()][e.vendor(r).index()] += 1;
-    }
-
-    // telco-lint: deny-alloc(begin)
-    fn record_columns(&mut self, batch: &ColumnBatch, e: &Enriched) {
-        for (&sector, &rat) in batch.source_sectors().iter().zip(batch.target_rats()) {
-            self.type_counts[HoType::from_target_rat(rat).index()][e.vendor_of(sector).index()] +=
-                1;
-        }
-    }
-    // telco-lint: deny-alloc(end)
-
-    fn merge(&mut self, other: Self, _ctx: &SweepCtx) {
-        for (mine, theirs) in self.type_counts.iter_mut().zip(other.type_counts) {
-            for (c, t) in mine.iter_mut().zip(theirs) {
-                *c += t;
-            }
-        }
-    }
-
-    fn end(self, _ctx: &SweepCtx) -> [[u64; 4]; 3] {
-        self.type_counts
-    }
-
-    const SNAPSHOT_VERSION: u16 = 1;
-
-    fn snapshot(&self, w: &mut SnapWriter) {
-        for row in &self.type_counts {
-            for &c in row {
-                w.put_varint(c);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for row in &mut self.type_counts {
-            for c in row {
-                *c = r.get_varint()?;
-            }
-        }
-        Ok(())
-    }
-}
+/// The [`VendorAnalysis`] pass: the daily frame, summed per type and
+/// vendor and read as boxplots at `end`.
+pub type VendorPass = DerivedPass<VendorAnalysis>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FramePass, FrameWindow};
     use crate::sweep::Sweep;
     use telco_sim::{run_study, SimConfig};
 
@@ -181,10 +125,7 @@ mod tests {
         let mut cfg = SimConfig::tiny();
         cfg.n_ues = 1_500;
         cfg.n_days = 3;
-        let study = run_study(cfg);
-        let frame = Sweep::new(&study).run(|| FramePass::new(FrameWindow::Daily)).unwrap();
-        let type_counts = Sweep::new(&study).run(VendorPass::default).unwrap();
-        VendorAnalysis::from_parts(&study.world, type_counts, &frame)
+        Sweep::new(&run_study(cfg)).run(VendorPass::default).unwrap()
     }
 
     #[test]

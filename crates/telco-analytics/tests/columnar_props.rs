@@ -5,7 +5,9 @@
 //! (`record_columns`). Every pass that overrides the columnar hook is
 //! covered — a drift between the two paths would silently corrupt the
 //! columnar sweep while all goldens (which exercise only one path per
-//! run) kept passing.
+//! run) kept passing. The passes derived from the daily frame count
+//! through the frame's hooks, so the frame cases cover them
+//! (`derivation_props.rs` checks the derivations).
 
 use std::sync::OnceLock;
 
@@ -13,14 +15,13 @@ use proptest::prelude::*;
 use serde::Serialize;
 
 use telco_analytics::frame::{Enriched, FramePass, FrameWindow};
-use telco_analytics::geodemo::{HoDensityPass, PopulationPass};
-use telco_analytics::handovers::{DistrictPass, DurationPass, HoTypePass};
+use telco_analytics::geodemo::PopulationPass;
+use telco_analytics::handovers::{DurationPass, HoTypePass};
 use telco_analytics::hof::{CausePass, HofPatternsPass};
 use telco_analytics::manufacturer::ManufacturerPass;
 use telco_analytics::pingpong::PingPongPass;
-use telco_analytics::sweep::{AnalysisPass, SweepCtx, TraceCountsPass};
+use telco_analytics::sweep::{AnalysisPass, SweepCtx};
 use telco_analytics::timeseries::TemporalPass;
-use telco_analytics::vendor_analysis::VendorPass;
 use telco_devices::population::UeId;
 use telco_signaling::causes::CauseCode;
 use telco_sim::{SimConfig, World};
@@ -149,17 +150,13 @@ macro_rules! equivalence_case {
     };
 }
 
-equivalence_case!(trace_counts_columns_match_rows, TraceCountsPass::default);
 equivalence_case!(ho_types_columns_match_rows, HoTypePass::default);
 equivalence_case!(durations_columns_match_rows, DurationPass::default);
-equivalence_case!(districts_columns_match_rows, DistrictPass::default);
 equivalence_case!(population_columns_match_rows, PopulationPass::default);
-equivalence_case!(density_columns_match_rows, HoDensityPass::default);
 equivalence_case!(temporal_columns_match_rows, TemporalPass::default);
 equivalence_case!(manufacturer_columns_match_rows, || ManufacturerPass::new(2));
 equivalence_case!(hof_patterns_columns_match_rows, HofPatternsPass::default);
 equivalence_case!(causes_columns_match_rows, CausePass::default);
 equivalence_case!(pingpong_columns_match_rows, PingPongPass::default);
-equivalence_case!(vendor_columns_match_rows, VendorPass::default);
 equivalence_case!(frame_daily_columns_match_rows, || FramePass::new(FrameWindow::Daily));
 equivalence_case!(frame_period_columns_match_rows, || FramePass::new(FrameWindow::FullPeriod));

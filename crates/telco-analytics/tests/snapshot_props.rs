@@ -13,7 +13,9 @@
 //!    before a golden noticed.
 //!
 //! Mirrors `columnar_props.rs`: one tiny shared world, arbitrary records
-//! clamped onto its entity ranges, 24 cases per pass.
+//! clamped onto its entity ranges, 24 cases per pass. The passes derived
+//! from the daily frame hold and snapshot only the frame's state, so the
+//! frame cases cover them.
 
 use std::sync::OnceLock;
 
@@ -21,17 +23,14 @@ use proptest::prelude::*;
 use serde::Serialize;
 
 use telco_analytics::frame::{Enriched, FramePass, FrameWindow};
-use telco_analytics::geodemo::{HoDensityPass, PopulationPass};
-use telco_analytics::handovers::{DistrictPass, DurationPass, HoTypePass};
+use telco_analytics::geodemo::PopulationPass;
+use telco_analytics::handovers::{DurationPass, HoTypePass};
 use telco_analytics::hof::{CausePass, HofPatternsPass};
 use telco_analytics::manufacturer::ManufacturerPass;
 use telco_analytics::pingpong::PingPongPass;
 use telco_analytics::study::StudyPasses;
-use telco_analytics::sweep::{
-    restore_pass, snapshot_pass, AnalysisPass, SweepCtx, TraceCountsPass,
-};
+use telco_analytics::sweep::{restore_pass, snapshot_pass, AnalysisPass, SweepCtx};
 use telco_analytics::timeseries::TemporalPass;
-use telco_analytics::vendor_analysis::VendorPass;
 use telco_devices::population::UeId;
 use telco_signaling::causes::CauseCode;
 use telco_sim::{SimConfig, World};
@@ -213,11 +212,6 @@ macro_rules! snapshot_case {
     };
 }
 
-snapshot_case!(
-    trace_counts_snapshot_round_trips,
-    trace_counts_merge_after_restore,
-    TraceCountsPass::default
-);
 snapshot_case!(ho_types_snapshot_round_trips, ho_types_merge_after_restore, HoTypePass::default);
 snapshot_case!(
     durations_snapshot_round_trips,
@@ -225,16 +219,10 @@ snapshot_case!(
     DurationPass::default
 );
 snapshot_case!(
-    districts_snapshot_round_trips,
-    districts_merge_after_restore,
-    DistrictPass::default
-);
-snapshot_case!(
     population_snapshot_round_trips,
     population_merge_after_restore,
     PopulationPass::default
 );
-snapshot_case!(density_snapshot_round_trips, density_merge_after_restore, HoDensityPass::default);
 snapshot_case!(temporal_snapshot_round_trips, temporal_merge_after_restore, TemporalPass::default);
 snapshot_case!(manufacturer_snapshot_round_trips, manufacturer_merge_after_restore, || {
     ManufacturerPass::new(2)
@@ -246,7 +234,6 @@ snapshot_case!(
 );
 snapshot_case!(causes_snapshot_round_trips, causes_merge_after_restore, CausePass::default);
 snapshot_case!(pingpong_snapshot_round_trips, pingpong_merge_after_restore, PingPongPass::default);
-snapshot_case!(vendor_snapshot_round_trips, vendor_merge_after_restore, VendorPass::default);
 snapshot_case!(frame_daily_snapshot_round_trips, frame_daily_merge_after_restore, || {
     FramePass::new(FrameWindow::Daily)
 });

@@ -66,7 +66,12 @@ pub enum ServeError {
     /// Store I/O failed.
     Io(std::io::Error),
     /// A persisted snapshot frame was corrupt, truncated, or stale.
-    Snap(SnapError),
+    Snap {
+        /// The store object the frame was read from.
+        object: String,
+        /// What was wrong with it.
+        error: SnapError,
+    },
     /// The state object (or a serialized view) was not valid JSON.
     Json(String),
     /// The trace fold reported a chunk issue (cannot happen for the
@@ -81,7 +86,14 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "store I/O: {e}"),
-            ServeError::Snap(e) => write!(f, "snapshot: {e}"),
+            ServeError::Snap { object, error } => {
+                write!(f, "snapshot {object}: {error}")?;
+                if let SnapError::BadVersion { expected, found } = error {
+                    let by = if found < expected { "an older" } else { "a newer" };
+                    write!(f, " ({by} build wrote this store; re-ingest into a fresh store)")?;
+                }
+                Ok(())
+            }
             ServeError::Json(e) => write!(f, "state JSON: {e}"),
             ServeError::Sweep(e) => write!(f, "day fold: {e}"),
             ServeError::ConfigMismatch(e) => write!(f, "config mismatch: {e}"),
@@ -94,12 +106,6 @@ impl std::error::Error for ServeError {}
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-impl From<SnapError> for ServeError {
-    fn from(e: SnapError) -> Self {
-        ServeError::Snap(e)
     }
 }
 
@@ -196,13 +202,14 @@ impl IngestEngine {
             committed_days = state.committed_days;
         }
 
-        let mut live = StudyPasses::default();
-        if committed_days > 0 {
-            restore_pass(&mut live, &get_bytes(store.as_ref(), &baseline_object(committed_days))?)?;
+        let live = if committed_days > 0 {
+            let name = baseline_object(committed_days);
+            restore_object(&name, &get_bytes(store.as_ref(), &name)?)?
         } else {
-            let ctx = SweepCtx { world: &world, config: &config };
-            live.begin(&ctx);
-        }
+            let mut live = StudyPasses::default();
+            live.begin(&SweepCtx { world: &world, config: &config });
+            live
+        };
 
         let mut partials = VecDeque::new();
         for day in committed_days.saturating_sub(window)..committed_days {
@@ -319,15 +326,14 @@ impl IngestEngine {
         Ok(())
     }
 
-    /// Finish [`SweepOutputs`] from a snapshot frame: restore it into a
-    /// fresh composite and end that. The live accumulator is never
+    /// Finish [`SweepOutputs`] from the snapshot object `name`: restore it
+    /// into a fresh composite and end that. The live accumulator is never
     /// consumed: views are always derived from snapshot bytes, the same
     /// bytes a restart restores, so every view doubles as a self-test of
     /// the codec.
-    fn outputs_from(&self, bytes: &[u8]) -> Result<SweepOutputs, ServeError> {
-        let mut passes = StudyPasses::default();
-        restore_pass(&mut passes, bytes)?;
-        Ok(passes.end(&self.ctx()))
+    fn outputs_from(&self, name: &str) -> Result<SweepOutputs, ServeError> {
+        let bytes = get_bytes(self.store.as_ref(), name)?;
+        Ok(restore_object(name, &bytes)?.end(&self.ctx()))
     }
 
     /// How many trailing committed days have their partial retained, with
@@ -353,10 +359,8 @@ impl IngestEngine {
         let ctx = self.ctx();
         let mut acc = StudyPasses::default();
         acc.begin(&ctx);
-        for (_, bytes) in self.partials.iter().skip(self.partials.len() - days as usize) {
-            let mut part = StudyPasses::default();
-            restore_pass(&mut part, bytes)?;
-            acc.merge(part, &ctx);
+        for (day, bytes) in self.partials.iter().skip(self.partials.len() - days as usize) {
+            acc.merge(restore_object(&day_object(*day), bytes)?, &ctx);
         }
         Ok(Some(acc.end(&ctx)))
     }
@@ -383,8 +387,7 @@ impl IngestEngine {
         {
             // Scoped, so the restored study is freed before the window
             // folds build theirs.
-            let baseline = get_bytes(self.store.as_ref(), &baseline_object(self.committed_days))?;
-            let outputs = self.outputs_from(&baseline)?;
+            let outputs = self.outputs_from(&baseline_object(self.committed_days))?;
             view.records = outputs.trace_counts.records;
             view.failures = outputs.trace_counts.failures;
             view.sections = sections_of(&outputs)?;
@@ -394,6 +397,15 @@ impl IngestEngine {
         view.last_week = self.window_outputs(7)?.as_ref().map(to_json).transpose()?;
         Ok(view)
     }
+}
+
+/// Restore a composite from the bytes of the snapshot object `name`; an
+/// error names the object.
+fn restore_object(name: &str, bytes: &[u8]) -> Result<StudyPasses, ServeError> {
+    let mut passes = StudyPasses::default();
+    restore_pass(&mut passes, bytes)
+        .map_err(|error| ServeError::Snap { object: name.to_string(), error })?;
+    Ok(passes)
 }
 
 fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, ServeError> {
@@ -446,6 +458,7 @@ fn join_sections(sections: &[(String, String)]) -> String {
 mod tests {
     use super::*;
     use telco_store::DirStore;
+    use telco_trace::snap::{decode_frame, encode_frame};
 
     fn temp_store(tag: &str) -> Box<dyn ObjectStore> {
         let dir = std::env::temp_dir().join(format!("telco_serve_engine_{tag}"));
@@ -520,5 +533,61 @@ mod tests {
             .err()
             .expect("mismatched config must not resume");
         assert!(matches!(err, ServeError::ConfigMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn stale_baseline_is_refused_by_name() {
+        let dir = std::env::temp_dir().join("telco_serve_engine_stale");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = test_config();
+        let mut engine =
+            IngestEngine::open(cfg.clone(), Box::new(DirStore::create(&dir).unwrap()), 7).unwrap();
+        engine.ingest_next_day().unwrap();
+        drop(engine);
+        // Re-frame the committed baseline as an older build's version 1.
+        let store = DirStore::open(&dir).unwrap();
+        let name = baseline_object(1);
+        let bytes = get_bytes(&store, &name).unwrap();
+        let payload = decode_frame(StudyPasses::SNAPSHOT_VERSION, &bytes).unwrap();
+        put_bytes(&store, &name, &encode_frame(1, payload)).unwrap();
+        let err = IngestEngine::open(cfg, Box::new(store), 7)
+            .err()
+            .expect("a version-1 baseline must not restore");
+        assert!(
+            matches!(
+                &err,
+                ServeError::Snap { object, error: SnapError::BadVersion { expected: 2, found: 1 } }
+                    if *object == name
+            ),
+            "{err}"
+        );
+        let message = err.to_string();
+        assert!(message.contains("baseline-00001.snap") && message.contains("older"), "{message}");
+    }
+
+    #[test]
+    fn corrupt_day_partial_fails_the_view_by_name() {
+        let dir = std::env::temp_dir().join("telco_serve_engine_corrupt_partial");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = test_config();
+        let mut engine =
+            IngestEngine::open(cfg.clone(), Box::new(DirStore::create(&dir).unwrap()), 7).unwrap();
+        engine.ingest_next_day().unwrap();
+        engine.ingest_next_day().unwrap();
+        drop(engine);
+        // Flip one payload byte of the newest retained partial; reopening
+        // reloads it without decoding, so the window fold meets it.
+        let store = DirStore::open(&dir).unwrap();
+        let name = day_object(1);
+        let mut bytes = get_bytes(&store, &name).unwrap();
+        bytes[20] ^= 0x01;
+        put_bytes(&store, &name, &bytes).unwrap();
+        let engine = IngestEngine::open(cfg, Box::new(store), 7).unwrap();
+        let err = engine.build_view().expect_err("a corrupt partial must fail the view");
+        assert!(
+            matches!(&err, ServeError::Snap { object, error: SnapError::BadCrc } if *object == name),
+            "{err}"
+        );
+        assert!(err.to_string().contains("day-00001.snap"), "{err}");
     }
 }

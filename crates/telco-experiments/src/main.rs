@@ -150,10 +150,11 @@ fn main() {
     let t0 = std::time::Instant::now();
     let study = match &spill_dir {
         Some(dir) => {
-            // Out-of-core: per-worker runs spill to disk as chunk files
-            // and merge from disk into one sealed trace; every
-            // analysis below then streams it chunk-by-chunk — same
-            // bytes, bounded memory.
+            // Out-of-core: each work item's run spills to disk as a
+            // chunk file, and each day's runs merge into the one sealed
+            // trace as soon as that day is spilled, while later days
+            // simulate. Every analysis below then streams the sealed
+            // file chunk by chunk: same bytes, bounded memory.
             eprintln!("repro: spilling runs to {}", dir.display());
             std::fs::create_dir_all(dir).expect("create spill dir");
             Study::from_data(

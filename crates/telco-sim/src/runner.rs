@@ -12,19 +12,24 @@
 //! day-major with a k-way heap merge whose ties break on run order, which
 //! reproduces the sequential path's append-then-stable-sort byte for byte.
 
+use std::fs::File;
+use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 
 use crossbeam::thread;
 
 use telco_devices::population::UeId;
 use telco_trace::dataset::SignalingDataset;
+use telco_trace::record::HoRecord;
 use telco_trace::source::TraceSource;
-use telco_trace::store::{merge_run_files, merge_run_files_to_path, TraceWriter};
+use telco_trace::store::{
+    reduce_runs, write_file_v3, SortedMerge, TraceReader, TraceWriter, DEFAULT_CHUNK_RECORDS,
+};
 
 use crate::config::SimConfig;
 use crate::engine::{simulate_ue_day, SimScratch};
 use crate::output::SimOutput;
-use crate::steal::{collect_runs, StealCursor};
+use crate::steal::{collect_runs, DayGate, StealCursor};
 use crate::world::World;
 
 /// Below this UE count the runner stays sequential: thread spawn and merge
@@ -47,7 +52,9 @@ pub enum RunnerMode {
     /// Work-stealing workers draining the shared `(day, chunk)` cursor.
     WorkStealing,
     /// Work-stealing workers spilling per-item sorted runs to disk as
-    /// chunk files, k-way merged from disk (out-of-core).
+    /// chunk files (out-of-core). Each day's runs are k-way merged into
+    /// the sealed trace as soon as the day's last item is spilled, while
+    /// the other workers simulate later days.
     Spilled,
     /// A fleet of worker *processes* each ran one manifest shard and the
     /// shard traces were merged out-of-core (the `telco-orchestrator`
@@ -98,20 +105,17 @@ pub fn run_study(config: SimConfig) -> StudyData {
     StudyData { config, world, output, trace: TraceSource::in_memory(dataset) }
 }
 
-/// [`run_study`] in out-of-core mode: per-item runs spill to `spill_dir`
-/// as chunk files and are k-way merged into one sealed trace file
-/// there, which [`StudyData::trace`] then streams
-/// chunk-by-chunk — the full trace is never materialized in memory.
-/// Byte-identical to [`run_study`] (same canonical item-order merge);
+/// [`run_study`] in out-of-core mode ([`run_on_world_spilled`]): per-item
+/// runs spill to `spill_dir` as chunk files, and each day's runs are
+/// merged into the sealed trace `spill_dir/study-trace.tlho` as soon as
+/// the day's last item is spilled, while the other workers simulate later
+/// days. [`StudyData::trace`] then streams that file chunk by chunk — the
+/// full trace is never materialized in memory. The file is byte-identical
+/// to [`run_study`]'s dataset written in [`DEFAULT_CHUNK_RECORDS`] chunks;
 /// `spill_dir` must exist and outlive the returned study.
-pub fn run_study_spilled(config: SimConfig, spill_dir: &Path) -> std::io::Result<StudyData> {
+pub fn run_study_spilled(config: SimConfig, spill_dir: &Path) -> io::Result<StudyData> {
     let world = World::build(&config);
-    let n_days = config.n_days;
-    let (mut output, paths) = spill_runs(&world, &config, DEFAULT_UE_CHUNK, spill_dir)?;
-    let out_path = spill_dir.join("study-trace.tlho");
-    let records = merge_run_files_to_path(n_days, paths, spill_dir, MERGE_FAN_IN, &out_path)?;
-    output.runner.mode = RunnerMode::Spilled;
-    let trace = TraceSource::spilled(out_path, n_days, records);
+    let (output, trace) = run_on_world_spilled(&world, &config, spill_dir)?;
     Ok(StudyData { config, world, output, trace })
 }
 
@@ -268,26 +272,41 @@ pub fn run_shard(
     out
 }
 
-/// Open-file fan-in of the on-disk merge. The default study spills
-/// thousands of run files — far past a typical 1024-descriptor ulimit —
-/// so the merge goes multi-pass above this bound.
+/// Open-file fan-in of the on-disk merge. A day with more run files than
+/// this (medium has 250 a day) is first reduced in passes of this many,
+/// so a merge never holds more open — far below a typical
+/// 1024-descriptor ulimit.
 pub const MERGE_FAN_IN: usize = 128;
 
 /// [`run_on_world`] in spill-to-disk mode: each work item's sorted run is
-/// written to `spill_dir` as a chunk file instead of held in RAM, and
-/// the runs are k-way merged from disk (multi-pass above
-/// [`MERGE_FAN_IN`] files). Peak trace memory is bounded by one chunk per
-/// open run rather than the whole dataset.
+/// written to `spill_dir` as a chunk file instead of held in RAM, and each
+/// day's runs are k-way merged into the sealed trace
+/// `spill_dir/study-trace.tlho` as soon as the day's last item is
+/// spilled, on the worker that spilled it, while the other workers
+/// simulate later days. Returns the side outputs (mobility, ledger,
+/// core; `dataset` left empty) and the sealed trace.
 ///
-/// Output is byte-identical to the in-memory paths: runs are merged in
-/// item order with index tie-breaks, exactly the
-/// [`SignalingDataset::merge_sorted_runs`] contract. Run files and merge
-/// intermediates are deleted as they are consumed; `spill_dir` must exist.
+/// A day's records come only from that day's items and sort before every
+/// later day's (the engine clamps every timestamp inside its day), so the
+/// sealed stream is the concatenation of per-day merges, each in item
+/// order with index tie-breaks — the
+/// [`SignalingDataset::merge_sorted_runs`] contract. The records go out
+/// in full [`DEFAULT_CHUNK_RECORDS`] chunks across day boundaries, so the
+/// file is byte-identical to the in-memory dataset written as
+/// `records.chunks(DEFAULT_CHUNK_RECORDS)`, for any thread count and
+/// chunk size. One day merges at a time, holding at most
+/// [`MERGE_FAN_IN`] run files open; run files and merge intermediates
+/// are deleted as they are consumed. `spill_dir` must exist.
+///
+/// The first spill or merge error stops the run: no worker claims another
+/// item, no later day is merged, and the returned error names the run
+/// file or the sealed file. The sealed file is then left without its
+/// trailer, which readers report as missing.
 pub fn run_on_world_spilled(
     world: &World,
     config: &SimConfig,
     spill_dir: &Path,
-) -> std::io::Result<SimOutput> {
+) -> io::Result<(SimOutput, TraceSource)> {
     run_on_world_spilled_chunked(world, config, DEFAULT_UE_CHUNK, spill_dir)
 }
 
@@ -301,23 +320,7 @@ pub fn run_on_world_spilled_chunked(
     config: &SimConfig,
     chunk_ues: usize,
     spill_dir: &Path,
-) -> std::io::Result<SimOutput> {
-    let (mut merged, paths) = spill_runs(world, config, chunk_ues, spill_dir)?;
-    merged.dataset = merge_run_files(config.n_days, paths, spill_dir, MERGE_FAN_IN)?;
-    merged.runner.mode = RunnerMode::Spilled;
-    Ok(merged)
-}
-
-/// The shared spill stage: drain the `(day, chunk)` grid, writing each
-/// item's sorted run to `spill_dir`, and return the merged side outputs
-/// (mobility, ledger, core — dataset left empty) plus the run paths in
-/// canonical item order.
-fn spill_runs(
-    world: &World,
-    config: &SimConfig,
-    chunk_ues: usize,
-    spill_dir: &Path,
-) -> std::io::Result<(SimOutput, Vec<PathBuf>)> {
+) -> io::Result<(SimOutput, TraceSource)> {
     assert!(chunk_ues > 0, "chunk size must be positive");
     let threads = if config.threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -331,18 +334,29 @@ fn spill_runs(
     let n_items = chunks_per_day * n_days as usize;
     let cursor = StealCursor::new(n_items);
 
+    let sealed_path = spill_dir.join("study-trace.tlho");
+    let sealed = SealedTrace::create(&sealed_path, n_days)?;
+    let gate = DayGate::new(n_days as usize, chunks_per_day, sealed);
+    let merge_day = |sealed: &mut SealedTrace, day: usize| {
+        let items = day * chunks_per_day..(day + 1) * chunks_per_day;
+        let runs = items.map(|item| run_path(spill_dir, item)).collect();
+        sealed.merge_day(runs, spill_dir).map_err(|e| {
+            io::Error::new(e.kind(), format!("{}: merging day {day}: {e}", sealed_path.display()))
+        })
+    };
+
     // Workers drain the same (day, chunk) grid as the in-memory path, but
     // each finished run goes straight to disk: the SimOutput they keep
     // carries only the small per-item side state (mobility, ledger, core).
-    let per_worker: Vec<std::io::Result<Vec<(usize, SimOutput)>>> = thread::scope(|s| {
+    let per_worker: Vec<io::Result<Vec<(usize, SimOutput)>>> = thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let cursor = &cursor;
-                s.spawn(move |_| -> std::io::Result<Vec<(usize, SimOutput)>> {
+                let (cursor, gate, merge_day) = (&cursor, &gate, &merge_day);
+                s.spawn(move |_| -> io::Result<Vec<(usize, SimOutput)>> {
                     let mut scratch = SimScratch::new();
                     let mut produced: Vec<(usize, SimOutput)> = Vec::new();
                     while let Some(item) = cursor.claim() {
-                        let day = (item / chunks_per_day) as u32;
+                        let day = item / chunks_per_day;
                         let chunk = item % chunks_per_day;
                         let lo = chunk * chunk_ues;
                         let hi = (lo + chunk_ues).min(n_ues);
@@ -352,16 +366,23 @@ fn spill_runs(
                                 world,
                                 config,
                                 UeId(ue as u32),
-                                day,
+                                day as u32,
                                 &mut scratch,
                                 &mut out,
                             );
                         }
                         out.dataset.sort();
-                        let path = spill_dir.join(format!("run-{item:06}.tmp-trace"));
-                        let mut w = TraceWriter::create(&path, n_days)?;
-                        w.write_chunk(out.dataset.records())?;
-                        w.finish()?;
+                        let run = run_path(spill_dir, item);
+                        let spilled = write_file_v3(&out.dataset, &run)
+                            .map_err(named(&run))
+                            .and_then(|()| gate.spilled(day, merge_day));
+                        if let Err(e) = spilled {
+                            // The first error stops the run: no more
+                            // claims, and no later day is merged.
+                            cursor.abort();
+                            gate.abort();
+                            return Err(e);
+                        }
                         out.dataset = SignalingDataset::new(n_days);
                         produced.push((item, out));
                     }
@@ -377,20 +398,86 @@ fn spill_runs(
     for worker in per_worker {
         collected.push(worker?);
     }
-    let runs = collect_runs(collected);
+    // Every worker has joined: merge the days whose last item lost the
+    // race for the merger, then seal.
+    let records = gate.finish(merge_day)?.finish().map_err(named(&sealed_path))?;
 
     let mut merged = SimOutput::new(n_days);
     merged.mobility.reserve(ue_days);
-    let mut paths: Vec<PathBuf> = Vec::with_capacity(runs.len());
-    for (item, run) in runs {
-        paths.push(spill_dir.join(format!("run-{item:06}.tmp-trace")));
+    for (_, run) in collect_runs(collected) {
         merged.mobility.extend(run.mobility);
         merged.ledger.merge(&run.ledger);
         merged.core.merge(&run.core);
     }
     merged.runner =
         RunnerStats { mode: RunnerMode::Spilled, threads, chunk_ues, work_items: n_items, ue_days };
-    Ok((merged, paths))
+    Ok((merged, TraceSource::spilled(sealed_path, n_days, records)))
+}
+
+/// The run file of work item `item`.
+fn run_path(spill_dir: &Path, item: usize) -> PathBuf {
+    spill_dir.join(format!("run-{item:06}.tmp-trace"))
+}
+
+/// The day merger's state: the sealed trace, and the merged records of
+/// its next, still partial chunk, which carry over into the next day.
+struct SealedTrace {
+    writer: TraceWriter<BufWriter<File>>,
+    days: u32,
+    /// Fewer than [`DEFAULT_CHUNK_RECORDS`] records.
+    pending: Vec<HoRecord>,
+}
+
+impl SealedTrace {
+    /// Create the sealed trace at `path`; an error names the file.
+    fn create(path: &Path, days: u32) -> io::Result<Self> {
+        let writer = TraceWriter::create(path, days).map_err(named(path))?;
+        Ok(SealedTrace { writer, days, pending: Vec::with_capacity(DEFAULT_CHUNK_RECORDS) })
+    }
+
+    /// Append the stable merge of one day's run files, given in item
+    /// order, writing each chunk as it fills; then delete the files. More
+    /// than [`MERGE_FAN_IN`] runs are first reduced under `spill_dir`.
+    fn merge_day(&mut self, runs: Vec<PathBuf>, spill_dir: &Path) -> io::Result<()> {
+        let runs = reduce_runs(self.days, runs, spill_dir, MERGE_FAN_IN)?;
+        let mut readers = Vec::with_capacity(runs.len());
+        for path in &runs {
+            readers.push(TraceReader::open(path).map_err(invalid)?);
+        }
+        let mut merge = SortedMerge::new(readers).map_err(invalid)?;
+        while let Some(record) = merge.next().map_err(invalid)? {
+            self.pending.push(record);
+            if self.pending.len() == DEFAULT_CHUNK_RECORDS {
+                self.writer.write_chunk(&self.pending)?;
+                self.pending.clear();
+            }
+        }
+        for path in &runs {
+            std::fs::remove_file(path)?;
+        }
+        Ok(())
+    }
+
+    /// Write the last, partial chunk and the trailer; return the record
+    /// count.
+    fn finish(mut self) -> io::Result<u64> {
+        if !self.pending.is_empty() {
+            self.writer.write_chunk(&self.pending)?;
+        }
+        let records = self.writer.records_written();
+        self.writer.finish()?;
+        Ok(records)
+    }
+}
+
+/// An I/O error with `path` named in its message.
+fn named(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// A decode error of a file the run wrote itself, as an I/O error.
+fn invalid(e: impl std::error::Error + Send + Sync + 'static) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 #[cfg(test)]
@@ -493,13 +580,109 @@ mod tests {
         let dir = std::env::temp_dir().join("telco_runner_spill_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let spilled = run_on_world_spilled(&world, &cfg, &dir).unwrap();
+        let (spilled, trace) = run_on_world_spilled(&world, &cfg, &dir).unwrap();
         assert_eq!(spilled.runner.mode, RunnerMode::Spilled);
-        assert_eq!(spilled.dataset.records(), in_mem.dataset.records());
+        assert!(spilled.dataset.is_empty());
+        let mut streamed = Vec::new();
+        trace.for_each_chunk(|recs| streamed.extend_from_slice(recs)).unwrap();
+        assert_eq!(&streamed[..], in_mem.dataset.records());
         assert_eq!(spilled.mobility, in_mem.mobility);
         assert_eq!(spilled.core, in_mem.core);
-        // All run files and intermediates consumed.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // All run files and intermediates consumed; the sealed trace stays.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spill_error_stops_the_run_and_names_the_file() {
+        // 150 UEs × 2 days at one UE per item: a 300-item grid.
+        let mut cfg = SimConfig::tiny();
+        cfg.n_ues = 150;
+        cfg.n_days = 2;
+        cfg.threads = 2;
+        let world = World::build(&cfg);
+        let dir = std::env::temp_dir().join("telco_runner_spill_error_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A directory where item 3's run file goes: creating it fails.
+        let blocker = run_path(&dir, 3);
+        std::fs::create_dir(&blocker).unwrap();
+
+        let err = run_on_world_spilled_chunked(&world, &cfg, 1, &dir).unwrap_err();
+        assert!(err.to_string().contains(&blocker.display().to_string()), "unnamed: {err}");
+        // The first error stopped the cursor: the other worker did not
+        // drain the grid. (Day 0 never completes, so nothing merged.)
+        let runs = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.is_file() && p.extension().is_some_and(|x| x == "tmp-trace"))
+            .count();
+        assert!(runs < 150, "{runs} of 299 run files written after the failure");
+        // No sealed trace validates.
+        let sealed = dir.join("study-trace.tlho");
+        if sealed.exists() {
+            let issue = telco_trace::validate_file(&sealed).unwrap_err();
+            assert_eq!(issue.error, telco_trace::CodecError::MissingTrailer);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sealed_trace_chunks_canonically_across_days() {
+        use telco_signaling::causes::{CauseCode, PrincipalCause};
+        use telco_topology::elements::SectorId;
+        use telco_topology::rat::Rat;
+        use telco_trace::HoOutcome;
+
+        let record = |timestamp_ms: u64, ue: u32| HoRecord {
+            timestamp_ms,
+            ue: UeId(ue),
+            source_sector: SectorId(ue % 97),
+            target_sector: SectorId(ue % 89),
+            source_rat: Rat::G4,
+            target_rat: if ue % 7 == 1 { Rat::G3 } else { Rat::G4 },
+            outcome: if ue % 11 == 1 { HoOutcome::Failure } else { HoOutcome::Success },
+            cause: (ue % 11 == 1).then(|| CauseCode::principal(PrincipalCause::TargetLoadTooHigh)),
+            duration_ms: 40.0 + (ue % 13) as f32,
+            srvcc: false,
+            messages: 12,
+        };
+        let dir = std::env::temp_dir().join("telco_runner_sealed_chunks_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Three days of three runs, 30,000 records a day: the first full
+        // chunk ends inside day 2. Runs share timestamps, so ties must
+        // break in run order.
+        let days = 3u32;
+        let path = dir.join("sealed.tlho");
+        let mut sealed = SealedTrace::create(&path, days).unwrap();
+        let mut all: Vec<HoRecord> = Vec::new();
+        for day in 0..days {
+            let base = u64::from(day) * 86_400_000;
+            let mut day_records = Vec::new();
+            let mut runs = Vec::new();
+            for run in 0..3u32 {
+                let records: Vec<HoRecord> = (0..10_000u32)
+                    .map(|i| record(base + u64::from(i / 2 * 5 + run), run * 100_000 + i))
+                    .collect();
+                let run_file = dir.join(format!("run-{day}-{run}.tmp-trace"));
+                day_records.extend_from_slice(&records);
+                write_file_v3(&SignalingDataset::from_records(days, records), &run_file).unwrap();
+                runs.push(run_file);
+            }
+            sealed.merge_day(runs, &dir).unwrap();
+            day_records.sort_by_key(|r| r.timestamp_ms);
+            all.extend(day_records);
+        }
+        assert_eq!(sealed.finish().unwrap(), all.len() as u64);
+
+        let mut canonical = TraceWriter::new(Vec::new(), days).unwrap();
+        for chunk in all.chunks(DEFAULT_CHUNK_RECORDS) {
+            canonical.write_chunk(chunk).unwrap();
+        }
+        assert!(std::fs::read(&path).unwrap() == canonical.finish().unwrap());
+        // The run files are consumed.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,15 +4,19 @@
 //! the ledger's floating-point sums allowed to regroup (compared under a
 //! documented relative tolerance).
 
-use telco_sim::{run_on_world_chunked, run_on_world_spilled_chunked, RunnerMode, SimConfig, World};
-use telco_trace::store::TraceWriter;
+use telco_sim::{
+    run_on_world_chunked, run_on_world_spilled_chunked, RunnerMode, SimConfig, World, MERGE_FAN_IN,
+};
+use telco_trace::store::{TraceWriter, DEFAULT_CHUNK_RECORDS};
 use telco_trace::SignalingDataset;
 
-/// The dataset as a sealed trace stream: the byte form the matrices
-/// compare.
-fn encode(dataset: &SignalingDataset) -> Vec<u8> {
+/// The canonical encoding of a dataset: its records in
+/// `DEFAULT_CHUNK_RECORDS` chunks, the layout the spilled runner seals.
+fn canonical(dataset: &SignalingDataset) -> Vec<u8> {
     let mut writer = TraceWriter::new(Vec::new(), dataset.days).expect("trace header");
-    writer.write_dataset(dataset).expect("trace encode");
+    for chunk in dataset.records().chunks(DEFAULT_CHUNK_RECORDS) {
+        writer.write_chunk(chunk).expect("trace encode");
+    }
     writer.finish().expect("trace trailer")
 }
 
@@ -76,73 +80,58 @@ fn runner_matrix_is_deterministic() {
 
 #[test]
 fn spilled_matrix_matches_in_memory_byte_for_byte() {
-    // The spill-to-disk path must be indistinguishable from the in-memory
-    // path at the byte level: same encoded trace for every thread count,
-    // whether the runs lived in RAM or round-tripped through chunk files
-    // and the on-disk merge.
+    // The sealed trace of the spill-to-disk path must be the canonical
+    // encoding of the in-memory dataset, byte for byte, for every chunk
+    // size and thread count: the runs round-trip through chunk files and
+    // the per-day merges, and the records regroup into full chunks across
+    // day boundaries. Chunk size 1 gives 150 runs a day, more than
+    // MERGE_FAN_IN, so each day is first reduced in two passes.
     let mut cfg = SimConfig::tiny();
     cfg.n_ues = 150;
     cfg.n_days = 2;
     cfg.threads = 1;
     let world = World::build(&cfg);
     let reference = run_on_world_chunked(&world, &cfg, 32);
-    let reference_bytes = encode(&reference.dataset);
+    let reference_bytes = canonical(&reference.dataset);
+    const { assert!(150 > MERGE_FAN_IN) };
 
     let dir = std::env::temp_dir().join("telco_determinism_spill");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    for threads in [1usize, 2, 8] {
-        for (mode, label) in [("memory", "in-memory"), ("spilled", "spilled")] {
+    for chunk in [1usize, 7, 32] {
+        for threads in [1usize, 2, 8] {
+            let label = format!("chunk={chunk} threads={threads}");
             let mut cfg = cfg.clone();
             cfg.threads = threads;
-            let out = if mode == "spilled" {
-                let sub = dir.join(format!("t{threads}"));
-                std::fs::create_dir_all(&sub).unwrap();
-                let out = run_on_world_spilled_chunked(&world, &cfg, 32, &sub)
-                    .expect("spilled run failed");
-                assert_eq!(out.runner.mode, RunnerMode::Spilled, "threads={threads}");
-                // Nothing left behind: runs and merge intermediates are
-                // consumed as the merge drains them.
-                assert_eq!(
-                    std::fs::read_dir(&sub).unwrap().count(),
-                    0,
-                    "threads={threads}: spill dir not drained"
-                );
-                out
-            } else {
-                run_on_world_chunked(&world, &cfg, 32)
-            };
+            let in_memory = run_on_world_chunked(&world, &cfg, chunk);
             assert_eq!(
-                encode(&out.dataset),
+                canonical(&in_memory.dataset),
                 reference_bytes,
-                "threads={threads} {label}: encoded trace diverged"
+                "{label}: in-memory diverged"
             );
-            assert_eq!(
-                out.mobility, reference.mobility,
-                "threads={threads} {label}: mobility diverged"
+
+            let sub = dir.join(format!("c{chunk}-t{threads}"));
+            std::fs::create_dir_all(&sub).unwrap();
+            let (out, trace) = run_on_world_spilled_chunked(&world, &cfg, chunk, &sub)
+                .expect("spilled run failed");
+            assert_eq!(out.runner.mode, RunnerMode::Spilled, "{label}");
+            assert_eq!(out.runner.work_items, 150usize.div_ceil(chunk) * 2, "{label}");
+            assert!(trace.is_spilled(), "{label}");
+            let sealed = sub.join("study-trace.tlho");
+            assert!(
+                std::fs::read(&sealed).unwrap() == reference_bytes,
+                "{label}: sealed trace is not the canonical encoding"
             );
+            assert_eq!(trace.len(), reference.dataset.len() as u64, "{label}");
+            assert_eq!(out.mobility, reference.mobility, "{label}: mobility diverged");
+            // Nothing else left behind: runs and merge intermediates are
+            // consumed as each day merges.
+            let left: Vec<_> =
+                std::fs::read_dir(&sub).unwrap().map(|e| e.unwrap().path()).collect();
+            assert_eq!(left, vec![sealed], "{label}: spill dir not drained");
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn spilled_multi_pass_merge_is_identical() {
-    // Chunk size 1 on 150 UEs × 2 days produces 300 run files — more than
-    // the merge fan-in would ever see in one pass if it were small; here
-    // it exercises the many-runs regime of the external merge.
-    let mut cfg = SimConfig::tiny();
-    cfg.n_ues = 150;
-    cfg.n_days = 2;
-    cfg.threads = 4;
-    let world = World::build(&cfg);
-    let reference = run_on_world_chunked(&world, &cfg, 1);
-    let dir = std::env::temp_dir().join("telco_determinism_spill_many");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let spilled = run_on_world_spilled_chunked(&world, &cfg, 1, &dir).expect("spilled run failed");
-    assert_eq!(encode(&spilled.dataset), encode(&reference.dataset));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -28,17 +28,6 @@ impl SignalingDataset {
         SignalingDataset { days, records }
     }
 
-    /// Build from records already sorted by timestamp, skipping the
-    /// re-sort (checked in debug builds). Used by the streaming merge
-    /// paths, whose output is sorted by construction.
-    pub(crate) fn from_sorted_records(days: u32, records: Vec<HoRecord>) -> Self {
-        debug_assert!(
-            records.windows(2).all(|w| w[0].timestamp_ms <= w[1].timestamp_ms),
-            "records are not timestamp-sorted"
-        );
-        SignalingDataset { days, records }
-    }
-
     /// Append a record (no sorting; callers appending out of order must
     /// call [`SignalingDataset::sort`] before range queries).
     pub fn push(&mut self, record: HoRecord) {

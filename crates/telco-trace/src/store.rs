@@ -66,7 +66,9 @@ pub const V3_FRAME_HEADER_BYTES: usize = 20;
 pub const MAX_CHUNK_RECORDS: u32 = 1 << 22;
 
 /// Records per chunk used by bulk helpers when splitting oversized chunks
-/// and by the streaming merge when writing its output.
+/// and by the streaming merges when writing their output. The spilled
+/// runner's sealed trace is its records in chunks of exactly this many
+/// (the last one shorter), whatever the thread count.
 pub const DEFAULT_CHUNK_RECORDS: usize = 1 << 16;
 
 /// Upper bound on a chunk's declared `payload_len`, per record plus
@@ -773,19 +775,6 @@ impl<R: Read> SortedMerge<R> {
     }
 }
 
-/// Merge sorted trace readers into an in-memory dataset.
-pub fn merge_sorted_readers<R: Read>(
-    days: u32,
-    readers: Vec<TraceReader<R>>,
-) -> Result<SignalingDataset, ChunkIssue> {
-    let mut merge = SortedMerge::new(readers)?;
-    let mut records = Vec::new();
-    while let Some(r) = merge.next()? {
-        records.push(r);
-    }
-    Ok(SignalingDataset::from_sorted_records(days, records))
-}
-
 /// Merge sorted trace readers directly into a [`TraceWriter`], never
 /// materializing the merged trace in memory. Returns the record count.
 ///
@@ -850,63 +839,15 @@ pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
     Ok(total)
 }
 
-/// External merge of sorted run files into one dataset, bounding the
-/// open-file fan-in. With more than `fan_in` runs, groups of `fan_in`
-/// files are first merged into intermediate files under `tmp_dir`
-/// (classic external merge sort); grouping is order-preserving, so the
-/// result is byte-identical to a flat stable merge. Input and
-/// intermediate files are deleted as they are consumed.
-pub fn merge_run_files(
-    days: u32,
-    runs: Vec<std::path::PathBuf>,
-    tmp_dir: &Path,
-    fan_in: usize,
-) -> std::io::Result<SignalingDataset> {
-    let invalid = |e: CodecError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let files = reduce_runs(days, runs, tmp_dir, fan_in)?;
-    let mut readers = Vec::with_capacity(files.len());
-    for path in &files {
-        readers.push(TraceReader::open(path).map_err(invalid)?);
-    }
-    let merged = merge_sorted_readers(days, readers)
-        .map_err(|issue| std::io::Error::new(std::io::ErrorKind::InvalidData, issue))?;
-    for path in &files {
-        std::fs::remove_file(path)?;
-    }
-    Ok(merged)
-}
-
-/// External merge of sorted run files into one sealed trace file at
-/// `out_path`, never materializing the merged trace in memory — the
-/// fully out-of-core sibling of [`merge_run_files`], with the same
-/// stable-merge byte-identity contract. Input and intermediate files are
-/// deleted as they are consumed. Returns the merged record count.
-pub fn merge_run_files_to_path(
-    days: u32,
-    runs: Vec<std::path::PathBuf>,
-    tmp_dir: &Path,
-    fan_in: usize,
-    out_path: &Path,
-) -> std::io::Result<u64> {
-    let invalid = |e: CodecError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
-    let files = reduce_runs(days, runs, tmp_dir, fan_in)?;
-    let mut readers = Vec::with_capacity(files.len());
-    for path in &files {
-        readers.push(TraceReader::open(path).map_err(invalid)?);
-    }
-    let mut writer = TraceWriter::create(out_path, days)?;
-    let total = merge_sorted_readers_to_writer(readers, &mut writer)?;
-    writer.finish()?;
-    for path in &files {
-        std::fs::remove_file(path)?;
-    }
-    Ok(total)
-}
-
-/// The shared reduce loop of the external merges: while more than
-/// `fan_in` run files remain, merge order-preserving groups of `fan_in`
-/// into intermediate files under `tmp_dir`, deleting consumed inputs.
-fn reduce_runs(
+/// Reduce sorted run files to at most `fan_in`, bounding the open files
+/// of the merge that follows: while more than `fan_in` remain, merge
+/// consecutive groups of `fan_in` into intermediate files under
+/// `tmp_dir` (`merge-<level>-<group>.tmp-trace`, a classic external
+/// merge sort), deleting the inputs as they are consumed. Grouping keeps
+/// the run order and the merge is stable, so a stable merge of the
+/// returned files equals a flat stable merge of `runs`. With `fan_in`
+/// runs or fewer, `runs` comes back unchanged.
+pub fn reduce_runs(
     days: u32,
     runs: Vec<std::path::PathBuf>,
     tmp_dir: &Path,
@@ -1137,9 +1078,20 @@ mod tests {
             .collect();
         let readers: Vec<TraceReader<&[u8]>> =
             encoded.iter().map(|bytes| TraceReader::new(&bytes[..]).unwrap()).collect();
-        let merged = merge_sorted_readers(2, readers).unwrap();
+        let merged = merge_to_dataset(2, readers);
         let reference = SignalingDataset::merge_sorted_runs(2, runs);
         assert_eq!(merged, reference);
+    }
+
+    /// Merge `readers` through [`merge_sorted_readers_to_writer`] into an
+    /// in-memory stream and read it back.
+    fn merge_to_dataset<R: Read>(days: u32, readers: Vec<TraceReader<R>>) -> SignalingDataset {
+        let mut writer = TraceWriter::new(Vec::new(), days).unwrap();
+        let n = merge_sorted_readers_to_writer(readers, &mut writer).unwrap();
+        let bytes = writer.finish().unwrap();
+        let merged = TraceReader::new(&bytes[..]).unwrap().read_to_dataset_strict().unwrap();
+        assert_eq!(n, merged.len() as u64);
+        merged
     }
 
     #[test]
@@ -1159,11 +1111,16 @@ mod tests {
             write_file_v3(&run, &path).unwrap();
             paths.push(path);
         }
-        let merged = merge_run_files(1, paths, &dir, 3).unwrap();
+        let files = reduce_runs(1, paths, &dir, 3).unwrap();
+        // One pass leaves three intermediates, and the runs are consumed.
+        assert_eq!(files.len(), 3);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+        let readers = files.iter().map(|path| TraceReader::open(path).unwrap()).collect();
+        let merged = merge_to_dataset(1, readers);
         all.sort_by_key(|r| r.timestamp_ms);
         assert_eq!(merged.records(), &all[..]);
-        // All intermediates cleaned up.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        // At the fan-in, the runs come back untouched.
+        assert_eq!(reduce_runs(1, files.clone(), &dir, 3).unwrap(), files);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1290,11 +1247,8 @@ mod tests {
             w.finish().unwrap();
             paths.push(path);
         }
-        let out = dir.join("merged.tlho");
-        let n = merge_run_files_to_path(3, paths, &dir, 128, &out).unwrap();
-        assert_eq!(n, all.len() as u64);
-        let mut reader = TraceReader::open(&out).unwrap();
-        let merged = reader.read_to_dataset_strict().unwrap();
+        let readers = paths.iter().map(|path| TraceReader::open(path).unwrap()).collect();
+        let merged = merge_to_dataset(3, readers);
         assert_eq!(merged.records(), &all[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -6,9 +6,10 @@
 //! sector frame as one visitor — so a full study traverses the trace
 //! once whether it lives in memory or spilled on disk. The trace counts,
 //! Figs. 6, 9 and 17 and the full-period frame are sums of the daily
-//! frame's cells, derived from it at `end`. Analyses that read only the
-//! world or the mobility output (device mix, RAT usage, deployment
-//! evolution, mobility ECDFs) never touch the trace at all.
+//! frame's cells, derived from it at `end`; above one thread, the frame's
+//! merge and `end` run beside the other analyses'. Analyses that read
+//! only the world or the mobility output (device mix, RAT usage,
+//! deployment evolution, mobility ECDFs) never touch the trace at all.
 
 use serde::Serialize;
 use telco_sim::{run_study, SimConfig, StudyData};
@@ -25,7 +26,9 @@ use crate::manufacturer::{ManufacturerImpact, ManufacturerPass};
 use crate::mobility_analysis::{HofVsMobility, MobilityEcdfs};
 use crate::modeling::{HofModels, ModelingOptions};
 use crate::pingpong::{PingPongAnalysis, PingPongPass};
-use crate::sweep::{restore_pass, snapshot_pass, AnalysisPass, Sweep, SweepCtx, TraceCounts};
+use crate::sweep::{
+    resolve_threads, restore_pass, snapshot_pass, AnalysisPass, Sweep, SweepCtx, TraceCounts,
+};
 use crate::timeseries::{TemporalEvolution, TemporalPass};
 use crate::vendor_analysis::VendorAnalysis;
 
@@ -69,6 +72,15 @@ pub struct SweepOutputs {
 /// daily sector frame as one visitor, so the sweep driver feeds each
 /// record to all of them during a single traversal. Its `end` derives the
 /// outputs that are sums of the daily frame's cells.
+///
+/// Above one sweep thread, `merge` and `end` run in two groups at once:
+/// the daily frame (its grid merge, then `finish` and the five outputs
+/// derived from it) on a scoped worker, the eight record analyses on the
+/// calling thread. The frame chain and the durations ECDF with the other
+/// seven `end`s take about as long, so two groups balance the tail and
+/// more would not shorten it. Each sub-pass still merges in span order
+/// and ends from its own state, so the outputs are the same bytes at
+/// every thread count.
 #[derive(Default)]
 pub struct StudyPasses {
     ho_types: HoTypePass,
@@ -133,34 +145,76 @@ impl AnalysisPass for StudyPasses {
     // telco-lint: deny-alloc(end)
 
     fn merge(&mut self, other: Self, ctx: &SweepCtx) {
-        self.ho_types.merge(other.ho_types, ctx);
-        self.durations.merge(other.durations, ctx);
-        self.population.merge(other.population, ctx);
-        self.temporal.merge(other.temporal, ctx);
-        self.manufacturer.merge(other.manufacturer, ctx);
-        self.hof_patterns.merge(other.hof_patterns, ctx);
-        self.causes.merge(other.causes, ctx);
-        self.pingpong.merge(other.pingpong, ctx);
-        self.frame.merge(other.frame, ctx);
+        join(
+            splits(ctx),
+            || self.frame.merge(other.frame, ctx),
+            || {
+                self.ho_types.merge(other.ho_types, ctx);
+                self.durations.merge(other.durations, ctx);
+                self.population.merge(other.population, ctx);
+                self.temporal.merge(other.temporal, ctx);
+                self.manufacturer.merge(other.manufacturer, ctx);
+                self.hof_patterns.merge(other.hof_patterns, ctx);
+                self.causes.merge(other.causes, ctx);
+                self.pingpong.merge(other.pingpong, ctx);
+            },
+        );
     }
 
     fn end(self, ctx: &SweepCtx) -> SweepOutputs {
-        let frame = self.frame.end(ctx);
+        let (
+            (trace_counts, district_distribution, ho_density, vendor_analysis, period_frame, frame),
+            (
+                ho_types,
+                durations,
+                population_inference,
+                temporal_evolution,
+                manufacturer_impact,
+                hof_patterns,
+                causes,
+                pingpong,
+            ),
+        ) = join(
+            splits(ctx),
+            || {
+                let frame = self.frame.end(ctx);
+                (
+                    TraceCounts::from_daily_frame(&frame, ctx),
+                    DistrictDistribution::from_daily_frame(&frame, ctx),
+                    HoDensity::from_daily_frame(&frame, ctx),
+                    VendorAnalysis::from_daily_frame(&frame, ctx),
+                    frame.full_period(ctx.config.n_days),
+                    frame,
+                )
+            },
+            || {
+                (
+                    self.ho_types.end(ctx),
+                    self.durations.end(ctx),
+                    self.population.end(ctx),
+                    self.temporal.end(ctx),
+                    self.manufacturer.end(ctx),
+                    self.hof_patterns.end(ctx),
+                    self.causes.end(ctx),
+                    self.pingpong.end(ctx),
+                )
+            },
+        );
         SweepOutputs {
-            trace_counts: TraceCounts::from_daily_frame(&frame, ctx),
-            ho_types: self.ho_types.end(ctx),
-            durations: self.durations.end(ctx),
-            district_distribution: DistrictDistribution::from_daily_frame(&frame, ctx),
-            population_inference: self.population.end(ctx),
-            ho_density: HoDensity::from_daily_frame(&frame, ctx),
-            temporal_evolution: self.temporal.end(ctx),
-            manufacturer_impact: self.manufacturer.end(ctx),
-            hof_patterns: self.hof_patterns.end(ctx),
-            causes: self.causes.end(ctx),
-            pingpong: self.pingpong.end(ctx),
-            vendor_analysis: VendorAnalysis::from_daily_frame(&frame, ctx),
-            period_frame: frame.full_period(ctx.config.n_days),
+            trace_counts,
+            ho_types,
+            durations,
+            district_distribution,
+            population_inference,
+            ho_density,
+            temporal_evolution,
+            manufacturer_impact,
+            hof_patterns,
+            causes,
+            pingpong,
+            vendor_analysis,
             frame,
+            period_frame,
         }
     }
 
@@ -195,8 +249,32 @@ impl AnalysisPass for StudyPasses {
     }
 }
 
+/// Whether the composite splits its merge and `end` in two: only when
+/// the sweep runs on more than one thread, resolved as [`Sweep::run`]
+/// resolves it, so a one-thread sweep spawns nothing.
+fn splits(ctx: &SweepCtx) -> bool {
+    resolve_threads(ctx.config) > 1
+}
+
+/// Run `a` on a scoped worker while this thread runs `b` when
+/// `parallel`, else both here, `a` first. The two share no state, so the
+/// results are the same either way. A panic in the worker resurfaces
+/// here with its own payload.
+fn join<A: Send, B>(parallel: bool, a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+    if !parallel {
+        return (a(), b());
+    }
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(a);
+        let b = b();
+        (worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), b)
+    })
+}
+
 /// A completed study plus its analyses, all filled by one shared sweep on
-/// first use.
+/// first use. The sweep runs on `SimConfig::threads` threads (0 = the
+/// available parallelism); above one, the spans fold in parallel and the
+/// [`StudyPasses`] merge and `end` split in two.
 pub struct Study {
     data: StudyData,
     sweep: std::sync::OnceLock<SweepOutputs>,
@@ -359,6 +437,33 @@ mod tests {
         assert!(!study.frame().is_empty());
         let models = study.models();
         assert!(models.anova_ho_type.p_value < 0.05);
+    }
+
+    #[test]
+    fn only_a_multi_thread_sweep_splits_the_composite() {
+        let mut config = SimConfig::tiny();
+        let world = telco_sim::World::build(&config);
+        for (threads, split) in [(1, false), (2, true), (8, true)] {
+            config.threads = threads;
+            assert_eq!(splits(&SweepCtx { world: &world, config: &config }), split, "{threads}");
+        }
+        let here = std::thread::current().id();
+        assert_eq!(join(false, || std::thread::current().id(), || 1), (here, 1));
+        let (worker, one) = join(true, || std::thread::current().id(), || 1);
+        assert_ne!(worker, here);
+        assert_eq!(one, 1);
+    }
+
+    #[test]
+    fn a_worker_panic_resurfaces_with_its_message() {
+        let payload =
+            std::panic::catch_unwind(|| join(true, || panic!("frame chain failed"), || ()))
+                .unwrap_err();
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("frame chain failed"));
     }
 
     #[test]

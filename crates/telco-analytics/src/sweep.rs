@@ -16,7 +16,9 @@
 //! ([`TraceSource::spans`](telco_sim::TraceSource::spans)), folds each
 //! span into **one** accumulator on its own worker, merges the partials
 //! in span order, and calls `end` once. A one-span sweep runs on the
-//! calling thread, so the sequential sweep is the same code.
+//! calling thread, so the sequential sweep is the same code. Above one
+//! thread, the study composite ([`crate::StudyPasses`]) also splits its
+//! own `merge` and `end` across two threads.
 //!
 //! - **In-memory** sources split by record index; each worker transposes
 //!   its span window-by-window through its own batch.
@@ -219,7 +221,9 @@ impl<'a> Sweep<'a> {
     }
 }
 
-fn resolve_threads(config: &SimConfig) -> usize {
+/// The sweep's thread count: `config.threads`, or the available
+/// parallelism when it is 0.
+pub(crate) fn resolve_threads(config: &SimConfig) -> usize {
     if config.threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     } else {

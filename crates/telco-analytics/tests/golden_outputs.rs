@@ -425,18 +425,32 @@ fn sweep_sections(name: &str, outputs: &telco_analytics::SweepOutputs) -> String
 }
 
 /// Pins every served section of the sequential in-memory sweep, on the
-/// tiny world and on 200 UEs × 2 days of the default country, and
-/// requires the span-parallel sweep of the spilled tiny trace to match.
+/// tiny world and on 200 UEs × 2 days of the default country. The
+/// in-memory sweeps of both worlds at 2 and 8 threads, whose span merges
+/// and `end` split across two threads, and the span-parallel sweep of the
+/// spilled tiny trace must match.
 #[test]
 fn golden_sweep_sections() {
     let tiny = SimConfig { threads: 1, ..SimConfig::tiny() };
     let default_world = SimConfig { n_ues: 200, n_days: 2, threads: 1, ..SimConfig::small() };
     let tiny_sections = sweep_sections("tiny", Study::run(tiny.clone()).sweep());
-    let actual = format!(
-        "{{\n{tiny_sections},\n{}\n}}\n",
-        sweep_sections("small_200ues_2days", Study::run(default_world).sweep())
-    );
+    let default_sections =
+        sweep_sections("small_200ues_2days", Study::run(default_world.clone()).sweep());
+    let actual = format!("{{\n{tiny_sections},\n{default_sections}\n}}\n");
     check_file("sweep_sections.json", &actual);
+    for threads in [2, 8] {
+        for (name, config, pinned) in [
+            ("tiny", &tiny, &tiny_sections),
+            ("small_200ues_2days", &default_world, &default_sections),
+        ] {
+            let study = Study::run(SimConfig { threads, ..config.clone() });
+            assert_eq!(
+                &sweep_sections(name, study.sweep()),
+                pinned,
+                "{threads}-thread in-memory sweep of {name} drifted from the pinned sections"
+            );
+        }
+    }
 
     let dir = std::env::temp_dir().join("telco_golden_sections");
     let _ = std::fs::remove_dir_all(&dir);

@@ -38,14 +38,21 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// At 2 threads the engine's day fold and view `end`s split the
+/// composite's work across two threads; the served bytes must still be
+/// the one-thread batch study's.
 #[test]
 fn ingest_matches_batch_byte_for_byte() {
-    let cfg = test_config();
-    let store = Box::new(DirStore::create(temp_dir("oneshot")).unwrap());
-    let mut engine = IngestEngine::open(cfg.clone(), store, 7).unwrap();
-    while engine.ingest_next_day().unwrap().is_some() {}
-    let served = engine.build_view().unwrap().full.expect("full view after ingest");
-    assert_eq!(served, batch_json(cfg), "served study drifted from the batch study");
+    let cfg = SimConfig { threads: 1, ..test_config() };
+    let batch = batch_json(cfg.clone());
+    for threads in [1, 2] {
+        let store = Box::new(DirStore::create(temp_dir(&format!("oneshot_t{threads}"))).unwrap());
+        let mut engine =
+            IngestEngine::open(SimConfig { threads, ..cfg.clone() }, store, 7).unwrap();
+        while engine.ingest_next_day().unwrap().is_some() {}
+        let served = engine.build_view().unwrap().full.expect("full view after ingest");
+        assert_eq!(served, batch, "served study at {threads} thread(s) drifted from the batch");
+    }
 }
 
 #[test]
@@ -102,35 +109,41 @@ fn served_queries_answer_from_committed_views() {
     assert!(server.shutdown_requested());
 }
 
+/// Run at 1 and 2 engine threads against one-thread batch sweeps, so the
+/// window folds and their `end`s take the composite's two-thread split.
 #[test]
 fn windows_over_a_stream_longer_than_the_window() {
     let mut cfg = SimConfig::tiny();
     cfg.n_ues = 120;
     cfg.n_days = 9;
+    cfg.threads = 1;
     let world = World::build(&cfg);
-    let store = Box::new(DirStore::create(temp_dir("long")).unwrap());
-    let mut engine = IngestEngine::open(cfg.clone(), store, 7).unwrap();
-    while let Some(report) = engine.ingest_next_day().unwrap() {
-        let k = report.day + 1;
-        let view = engine.build_view().unwrap();
-        assert_eq!(view.retained_days, k.min(7), "after day {k}");
-        assert_eq!(
-            view.last_day.as_deref(),
-            Some(batch_days_json(&world, &cfg, k - 1..k).as_str()),
-            "last day after day {k}"
-        );
-        assert_eq!(
-            view.last_week.as_deref(),
-            Some(batch_days_json(&world, &cfg, k.saturating_sub(7)..k).as_str()),
-            "last week after day {k}"
-        );
-        assert_eq!(
-            view.full.as_deref(),
-            Some(batch_days_json(&world, &cfg, 0..k).as_str()),
-            "full view after day {k}"
-        );
+    for threads in [1, 2] {
+        let store = Box::new(DirStore::create(temp_dir(&format!("long_t{threads}"))).unwrap());
+        let mut engine =
+            IngestEngine::open(SimConfig { threads, ..cfg.clone() }, store, 7).unwrap();
+        while let Some(report) = engine.ingest_next_day().unwrap() {
+            let k = report.day + 1;
+            let view = engine.build_view().unwrap();
+            assert_eq!(view.retained_days, k.min(7), "after day {k} at {threads} thread(s)");
+            assert_eq!(
+                view.last_day.as_deref(),
+                Some(batch_days_json(&world, &cfg, k - 1..k).as_str()),
+                "last day after day {k} at {threads} thread(s)"
+            );
+            assert_eq!(
+                view.last_week.as_deref(),
+                Some(batch_days_json(&world, &cfg, k.saturating_sub(7)..k).as_str()),
+                "last week after day {k} at {threads} thread(s)"
+            );
+            assert_eq!(
+                view.full.as_deref(),
+                Some(batch_days_json(&world, &cfg, 0..k).as_str()),
+                "full view after day {k} at {threads} thread(s)"
+            );
+        }
+        assert_eq!(engine.committed_days(), 9);
     }
-    assert_eq!(engine.committed_days(), 9);
 }
 
 #[test]

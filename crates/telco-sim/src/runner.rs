@@ -273,9 +273,9 @@ pub fn run_shard(
 }
 
 /// Open-file fan-in of the on-disk merge. A day with more run files than
-/// this (medium has 250 a day) is first reduced in passes of this many,
-/// so a merge never holds more open — far below a typical
-/// 1024-descriptor ulimit.
+/// this (medium has 250 a day) first merges its excess runs into one
+/// intermediate file, so a merge never holds more open — far below a
+/// typical 1024-descriptor ulimit.
 pub const MERGE_FAN_IN: usize = 128;
 
 /// [`run_on_world`] in spill-to-disk mode: each work item's sorted run is

@@ -85,7 +85,8 @@ fn spilled_matrix_matches_in_memory_byte_for_byte() {
     // size and thread count: the runs round-trip through chunk files and
     // the per-day merges, and the records regroup into full chunks across
     // day boundaries. Chunk size 1 gives 150 runs a day, more than
-    // MERGE_FAN_IN, so each day is first reduced in two passes.
+    // MERGE_FAN_IN, so each day first merges 23 of them into one
+    // intermediate, then merges it with the other 127.
     let mut cfg = SimConfig::tiny();
     cfg.n_ues = 150;
     cfg.n_days = 2;

@@ -841,9 +841,14 @@ pub fn merge_sorted_readers_to_writer<R: Read, W: Write>(
 
 /// Reduce sorted run files to at most `fan_in`, bounding the open files
 /// of the merge that follows: while more than `fan_in` remain, merge
-/// consecutive groups of `fan_in` into intermediate files under
-/// `tmp_dir` (`merge-<level>-<group>.tmp-trace`, a classic external
-/// merge sort), deleting the inputs as they are consumed. Grouping keeps
+/// consecutive groups into intermediate files under `tmp_dir`
+/// (`merge-<level>-<group>.tmp-trace`, a classic external merge sort),
+/// deleting the inputs as they are consumed. When one merge of the first
+/// runs can leave exactly `fan_in` files, only that excess is merged
+/// (medium's 250 runs a day: the first 123 into one file, which then
+/// merges with the other 127), so about half the records are merged once
+/// instead of twice; a level that cannot reach `fan_in` merges all its
+/// files in groups of `fan_in`. Grouping keeps
 /// the run order and the merge is stable, so a stable merge of the
 /// returned files equals a flat stable merge of `runs`. With `fan_in`
 /// runs or fewer, `runs` comes back unchanged.
@@ -859,8 +864,15 @@ pub fn reduce_runs(
     let mut level = 0usize;
     let mut files = runs;
     while files.len() > fan_in {
-        let mut next: Vec<std::path::PathBuf> = Vec::with_capacity(files.len().div_ceil(fan_in));
-        for (group_idx, group) in files.chunks(fan_in).enumerate() {
+        // Merging the first `excess` files into one leaves exactly
+        // `fan_in`; past one group's worth, this level merges every file
+        // in groups of `fan_in`.
+        let excess = files.len() - fan_in + 1;
+        let (merged, group_len) =
+            if excess <= fan_in { (excess, excess) } else { (files.len(), fan_in) };
+        let (grouped, kept) = files.split_at(merged);
+        let mut next = Vec::with_capacity(merged.div_ceil(group_len) + kept.len());
+        for (group_idx, group) in grouped.chunks(group_len).enumerate() {
             let out = tmp_dir.join(format!("merge-{level:02}-{group_idx:06}.tmp-trace"));
             let mut readers = Vec::with_capacity(group.len());
             for path in group {
@@ -874,6 +886,7 @@ pub fn reduce_runs(
             }
             next.push(out);
         }
+        next.extend_from_slice(kept);
         files = next;
         level += 1;
     }
@@ -1111,9 +1124,10 @@ mod tests {
             write_file_v3(&run, &path).unwrap();
             paths.push(path);
         }
-        let files = reduce_runs(1, paths, &dir, 3).unwrap();
+        let files = reduce_runs(1, paths.clone(), &dir, 3).unwrap();
         // One pass leaves three intermediates, and the runs are consumed.
         assert_eq!(files.len(), 3);
+        assert!(files.iter().all(|file| !paths.contains(file)), "{files:?}");
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
         let readers = files.iter().map(|path| TraceReader::open(path).unwrap()).collect();
         let merged = merge_to_dataset(1, readers);
@@ -1121,6 +1135,41 @@ mod tests {
         assert_eq!(merged.records(), &all[..]);
         // At the fan-in, the runs come back untouched.
         assert_eq!(reduce_runs(1, files.clone(), &dir, 3).unwrap(), files);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reduce_runs_merges_only_the_excess() {
+        let dir = std::env::temp_dir().join("telco_store_excess_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Four runs at fan-in 3, every timestamp shared by all four, so
+        // the merged order rests on the run order alone.
+        let mut paths = Vec::new();
+        let mut all: Vec<HoRecord> = Vec::new();
+        for i in 0..4u64 {
+            let records: Vec<HoRecord> =
+                (0..50).map(|j| rec(j * 10, (i * 100 + j) as u32, j % 7 == 0)).collect();
+            let run = SignalingDataset::from_records(1, records);
+            all.extend_from_slice(run.records());
+            let path = dir.join(format!("run-{i:06}.tmp-trace"));
+            write_file_v3(&run, &path).unwrap();
+            paths.push(path);
+        }
+        let untouched: Vec<Vec<u8>> =
+            paths[2..].iter().map(|path| std::fs::read(path).unwrap()).collect();
+        let files = reduce_runs(1, paths.clone(), &dir, 3).unwrap();
+        // The first two runs merge into one file; the last two are the
+        // original run files, byte for byte.
+        assert_eq!(files.len(), 3);
+        assert_eq!(files[1..], paths[2..]);
+        for (path, bytes) in files[1..].iter().zip(&untouched) {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes);
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+        let readers = files.iter().map(|path| TraceReader::open(path).unwrap()).collect();
+        all.sort_by_key(|r| r.timestamp_ms);
+        assert_eq!(merge_to_dataset(1, readers).records(), &all[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

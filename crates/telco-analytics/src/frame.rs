@@ -413,58 +413,80 @@ impl FrameBuilder {
     }
     // telco-lint: deny-nondeterminism(end)
 
-    /// Encode the accumulator. Spill cells are written in sorted key
-    /// order so the bytes never depend on hash-insertion history.
+    /// Encode the accumulator: the grid's bounds, then each touched
+    /// group (one with any non-zero counter) as its index gap from the
+    /// previous touched group (the first from 0) and its six counters,
+    /// then the spill cells in sorted key order. A day's fold touches
+    /// about 1% of a study's grid, so its snapshot follows what it
+    /// counted, and the bytes never depend on hash-insertion history.
     pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.put_u32(self.n_sectors);
-        w.put_u32(self.n_days);
-        w.put_varint(self.dense.len() as u64);
-        for group in &self.dense {
+        let put_group = |w: &mut SnapWriter, group: &CellGroup| {
             for &(hos, hofs) in group {
                 w.put_varint(u64::from(hos));
                 w.put_varint(u64::from(hofs));
             }
+        };
+        let touched = |group: &CellGroup| group.iter().any(|&(hos, hofs)| hos != 0 || hofs != 0);
+        w.put_u32(self.n_sectors);
+        w.put_u32(self.n_days);
+        w.put_varint(self.dense.iter().filter(|group| touched(group)).count() as u64);
+        let mut prev = 0;
+        for (idx, group) in self.dense.iter().enumerate().filter(|(_, group)| touched(group)) {
+            w.put_varint((idx - prev) as u64);
+            put_group(w, group);
+            prev = idx;
         }
         let mut spill: Vec<(u64, CellGroup)> = self.spill.iter().map(|(&k, &v)| (k, v)).collect();
         spill.sort_unstable_by_key(|&(k, _)| k);
         w.put_varint(spill.len() as u64);
-        for (key, group) in spill {
-            w.put_varint(key);
-            for (hos, hofs) in group {
-                w.put_varint(u64::from(hos));
-                w.put_varint(u64::from(hofs));
-            }
+        for (key, group) in &spill {
+            w.put_varint(*key);
+            put_group(w, group);
         }
     }
 
+    /// Decode a snapshot into a zeroed `n_sectors × n_days` grid holding
+    /// the touched groups, and the spill map.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Malformed`] for a touched index that is not ascending,
+    /// overflows or lies past the grid, and for a counter past `u32`,
+    /// plus the reader's own errors.
     pub(crate) fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let get_u32_counter = |r: &mut SnapReader| -> Result<u32, SnapError> {
-            u32::try_from(r.get_varint()?).map_err(|_| SnapError::Malformed("cell count overflow"))
+        let get_group = |r: &mut SnapReader| -> Result<CellGroup, SnapError> {
+            let mut group = CellGroup::default();
+            for cell in &mut group {
+                for counter in [&mut cell.0, &mut cell.1] {
+                    *counter = u32::try_from(r.get_varint()?)
+                        .map_err(|_| SnapError::Malformed("cell count overflow"))?;
+                }
+            }
+            Ok(group)
         };
         self.n_sectors = r.get_u32()?;
         self.n_days = r.get_u32()?;
-        let n = r.get_len()?;
-        if n != self.n_sectors as usize * self.n_days as usize {
-            return Err(SnapError::Malformed("frame grid size"));
-        }
-        self.dense = vec![CellGroup::default(); n];
-        for group in &mut self.dense {
-            for cell in group {
-                cell.0 = get_u32_counter(r)?;
-                cell.1 = get_u32_counter(r)?;
+        let cells = (self.n_sectors as usize)
+            .checked_mul(self.n_days as usize)
+            .ok_or(SnapError::Malformed("frame grid size"))?;
+        self.dense = vec![CellGroup::default(); cells];
+        let mut idx = 0usize;
+        for i in 0..r.get_len()? {
+            let gap = r.get_len()?;
+            if i > 0 && gap == 0 {
+                return Err(SnapError::Malformed("frame groups not ascending"));
             }
+            idx = idx.checked_add(gap).ok_or(SnapError::Malformed("frame group past the grid"))?;
+            let slot =
+                self.dense.get_mut(idx).ok_or(SnapError::Malformed("frame group past the grid"))?;
+            *slot = get_group(r)?;
         }
         let n = r.get_len()?;
         self.spill = FxHashMap::default();
-        self.spill.reserve(n);
+        self.spill.reserve(n.min(r.remaining()));
         for _ in 0..n {
             let key = r.get_varint()?;
-            let mut group = CellGroup::default();
-            for cell in &mut group {
-                cell.0 = get_u32_counter(r)?;
-                cell.1 = get_u32_counter(r)?;
-            }
-            self.spill.insert(key, group);
+            self.spill.insert(key, get_group(r)?);
         }
         Ok(())
     }
@@ -572,7 +594,7 @@ impl AnalysisPass for FramePass {
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 2;
+    const SNAPSHOT_VERSION: u16 = 3;
 
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_u8(match self.window {
@@ -714,6 +736,76 @@ mod tests {
             .observations()
             .windows(2)
             .all(|w| (w[0].sector.0, w[0].day) <= (w[1].sector.0, w[1].day)));
+    }
+
+    #[test]
+    fn a_day_snapshots_only_the_groups_it_touched() {
+        let s = study();
+        let mut config = s.config.clone();
+        config.n_days = 28;
+        let ctx = SweepCtx { world: &s.world, config: &config };
+        let enriched = Enriched::new(&s.world);
+        let mut pass = FramePass::new(FrameWindow::Daily);
+        pass.begin(&ctx);
+        let day: Vec<&HoRecord> =
+            s.trace.as_dataset().unwrap().records().iter().filter(|r| r.day() == 0).collect();
+        for r in &day {
+            pass.record(r, &enriched);
+        }
+        let touched: std::collections::BTreeSet<u32> =
+            day.iter().map(|r| r.source_sector.0).collect();
+        let bytes = crate::sweep::snapshot_pass(&pass);
+        assert!(
+            bytes.len() <= 64 + 16 * touched.len(),
+            "{} B for {} touched groups of a {}-group grid",
+            bytes.len(),
+            touched.len(),
+            s.world.topology.sectors().len() * 28
+        );
+        let mut restored = FramePass::default();
+        crate::sweep::restore_pass(&mut restored, &bytes).unwrap();
+        assert_eq!(crate::sweep::snapshot_pass(&restored), bytes);
+        assert_eq!(restored.end(&ctx).observations(), pass.end(&ctx).observations());
+    }
+
+    /// A `FrameBuilder` payload over a 2 × 3 grid whose touched groups
+    /// sit at the given index gaps, each holding one handover.
+    fn grid_payload(gaps: &[u64]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put_u32(2);
+        w.put_u32(3);
+        w.put_varint(gaps.len() as u64);
+        for &gap in gaps {
+            w.put_varint(gap);
+            for counter in [1, 0, 0, 0, 0, 0] {
+                w.put_varint(counter);
+            }
+        }
+        w.put_varint(0);
+        w.into_bytes()
+    }
+
+    fn restore_builder(payload: &[u8]) -> Result<FrameBuilder, SnapError> {
+        let mut builder = FrameBuilder::default();
+        let mut r = SnapReader::new(payload);
+        builder.restore(&mut r)?;
+        r.finish()?;
+        Ok(builder)
+    }
+
+    #[test]
+    fn restore_refuses_groups_off_the_grid() {
+        let builder = restore_builder(&grid_payload(&[0, 5])).unwrap();
+        assert_eq!(builder.dense.len(), 6);
+        assert_eq!(builder.dense[5][0], (1, 0));
+        let past = Some(SnapError::Malformed("frame group past the grid"));
+        assert_eq!(restore_builder(&grid_payload(&[6])).err(), past);
+        assert_eq!(restore_builder(&grid_payload(&[3, 3])).err(), past);
+        assert_eq!(restore_builder(&grid_payload(&[1, u64::MAX])).err(), past);
+        assert_eq!(
+            restore_builder(&grid_payload(&[2, 0])).err(),
+            Some(SnapError::Malformed("frame groups not ascending"))
+        );
     }
 
     #[test]

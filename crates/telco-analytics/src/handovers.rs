@@ -174,7 +174,7 @@ impl AnalysisPass for HoTypePass {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurationAnalysis {
     /// ECDF of intra 4G/5G-NSA durations.
-    pub intra: Ecdf,
+    pub intra: Option<Ecdf>,
     /// ECDF of →3G durations.
     pub to3g: Option<Ecdf>,
     /// ECDF of →2G durations.
@@ -186,16 +186,10 @@ impl DurationAnalysis {
     pub fn table(&self) -> TextTable {
         let mut t =
             TextTable::new("Fig 8: HO duration per type (ms)", &["HO type", "median", "p95"]);
-        t.row(&[
-            HoType::Intra4g5g.to_string(),
-            num(self.intra.median(), 0),
-            num(self.intra.quantile(0.95), 0),
-        ]);
-        if let Some(e) = &self.to3g {
-            t.row(&[HoType::To3g.to_string(), num(e.median(), 0), num(e.quantile(0.95), 0)]);
-        }
-        if let Some(e) = &self.to2g {
-            t.row(&[HoType::To2g.to_string(), num(e.median(), 0), num(e.quantile(0.95), 0)]);
+        for (ho_type, ecdf) in HoType::ALL.into_iter().zip([&self.intra, &self.to3g, &self.to2g]) {
+            if let Some(e) = ecdf {
+                t.row(&[ho_type.to_string(), num(e.median(), 0), num(e.quantile(0.95), 0)]);
+            }
         }
         t
     }
@@ -288,13 +282,9 @@ impl AnalysisPass for DurationPass {
     }
 
     fn end(self, _ctx: &SweepCtx) -> DurationAnalysis {
-        let per_type = self.per_type;
-        assert!(!per_type[0].is_empty(), "no successful intra handovers in trace");
-        DurationAnalysis {
-            intra: Self::ecdf(&per_type[0]),
-            to3g: (!per_type[1].is_empty()).then(|| Self::ecdf(&per_type[1])),
-            to2g: (!per_type[2].is_empty()).then(|| Self::ecdf(&per_type[2])),
-        }
+        let [intra, to3g, to2g] =
+            self.per_type.map(|sample| (!sample.is_empty()).then(|| Self::ecdf(&sample)));
+        DurationAnalysis { intra, to3g, to2g }
     }
 
     const SNAPSHOT_VERSION: u16 = 1;
@@ -409,7 +399,7 @@ mod tests {
     #[test]
     fn duration_ordering_matches_paper() {
         let d = Sweep::new(study()).run(DurationPass::default).unwrap();
-        let intra_med = d.intra.median();
+        let intra_med = d.intra.as_ref().expect("successful intra HOs").median();
         assert!((20.0..90.0).contains(&intra_med), "intra median {intra_med}");
         if let Some(e3) = &d.to3g {
             assert!(e3.median() > 4.0 * intra_med, "3G must be ~10× slower");

@@ -144,7 +144,7 @@ impl AnalysisPass for HofPatternsPass {
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 1;
+    const SNAPSHOT_VERSION: u16 = 2;
 
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_varint(self.hofs.len() as u64);

@@ -218,7 +218,7 @@ impl AnalysisPass for StudyPasses {
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 2;
+    const SNAPSHOT_VERSION: u16 = 3;
 
     /// The composite embeds one full frame (magic + version + CRC) per
     /// sub-pass, so a version bump in any single analysis invalidates a
@@ -419,6 +419,8 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telco_sim::TraceSource;
+    use telco_trace::dataset::SignalingDataset;
 
     #[test]
     fn study_end_to_end_smoke() {
@@ -432,7 +434,7 @@ mod tests {
         assert!(study.rat_usage().epc_time_share > 0.5);
         assert!(study.device_mix().type_shares[0] > 0.3);
         assert!(study.ho_density().pearson > 0.0);
-        assert!(study.durations().intra.len() > 10);
+        assert!(study.durations().intra.as_ref().is_some_and(|e| e.len() > 10));
         assert!(study.causes().principal_share() > 0.5);
         assert!(!study.frame().is_empty());
         let models = study.models();
@@ -452,6 +454,21 @@ mod tests {
         let (worker, one) = join(true, || std::thread::current().id(), || 1);
         assert_ne!(worker, here);
         assert_eq!(one, 1);
+    }
+
+    #[test]
+    fn an_empty_trace_sweeps_to_empty_outputs() {
+        let mut config = SimConfig::tiny();
+        config.n_ues = 50;
+        let mut data = run_study(config);
+        data.trace = TraceSource::in_memory(SignalingDataset::new(data.config.n_days));
+        for threads in [1, 2] {
+            data.config.threads = threads;
+            let out = Sweep::new(&data).run(StudyPasses::default).unwrap();
+            assert_eq!(out.trace_counts.records, 0);
+            assert!(out.durations.intra.is_none() && out.durations.to3g.is_none());
+            assert!(out.frame.is_empty() && out.period_frame.is_empty());
+        }
     }
 
     #[test]

@@ -262,7 +262,7 @@ impl AnalysisPass for TemporalPass {
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 1;
+    const SNAPSHOT_VERSION: u16 = 2;
 
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_varint(self.n_weeks as u64);

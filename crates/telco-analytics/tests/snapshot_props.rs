@@ -13,7 +13,8 @@
 //!    before a golden noticed.
 //!
 //! Mirrors `columnar_props.rs`: one tiny shared world, arbitrary records
-//! clamped onto its entity ranges, 24 cases per pass. The passes derived
+//! clamped onto its entity ranges, 256 cases per property unless
+//! `PROPTEST_CASES` says otherwise (CI runs 4096). The passes derived
 //! from the daily frame hold and snapshot only the frame's state, so the
 //! frame cases cover them.
 
@@ -192,7 +193,7 @@ where
 macro_rules! snapshot_case {
     ($round_trip:ident, $merge:ident, $make:expr) => {
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
+            #![proptest_config(ProptestConfig::default())]
 
             #[test]
             fn $round_trip(records in proptest::collection::vec(arb_record(), 0..300)) {

@@ -20,7 +20,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use telco_analytics::{Study, StudyPasses, Sweep};
-use telco_sim::{run_study, run_study_spilled, SimConfig};
+use telco_sim::{run_study, run_study_spilled, SimConfig, StudyData};
 use telco_trace::io::RECORD_BYTES;
 
 /// The thread counts every preset is swept at.
@@ -49,6 +49,16 @@ impl Measurement {
     }
 }
 
+/// Log a best time and report it against `bytes`/`records`.
+fn report(what: &str, secs: f64, bytes: u64, records: u64) -> Measurement {
+    eprintln!(
+        "bench-study: {what}: {secs:.4}s ({:.1} MB/s, {:.0} records/s)",
+        bytes as f64 / secs / 1e6,
+        records as f64 / secs
+    );
+    Measurement { secs, bytes, records }
+}
+
 /// Best-of-`iters` wall time of `f`, reported against `bytes`/`records`.
 fn measure(what: &str, bytes: u64, records: u64, iters: usize, mut f: impl FnMut()) -> Measurement {
     let mut best = f64::INFINITY;
@@ -57,12 +67,48 @@ fn measure(what: &str, bytes: u64, records: u64, iters: usize, mut f: impl FnMut
         f();
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    eprintln!(
-        "bench-study: {what}: {best:.4}s ({:.1} MB/s, {:.0} records/s)",
-        bytes as f64 / best / 1e6,
-        records as f64 / best
-    );
-    Measurement { secs: best, bytes, records }
+    report(what, best, bytes, records)
+}
+
+/// Best-of-`iters` wall time of the composite sweep of `data` at each
+/// thread count of [`THREAD_MATRIX`], as `(threads, oversubscribed,
+/// measurement)`. Each iteration runs every count once, in turn, so a
+/// host-speed regime lasting seconds spreads over all the counts instead
+/// of landing on one, and the best-of-N cancels it.
+fn sweep_matrix(
+    what: &str,
+    data: &mut StudyData,
+    bytes: u64,
+    iters: usize,
+    hardware_threads: usize,
+) -> Vec<(usize, bool, Measurement)> {
+    let records = data.trace.len();
+    let mut best = [f64::INFINITY; THREAD_MATRIX.len()];
+    for _ in 0..iters {
+        for (best, &threads) in best.iter_mut().zip(&THREAD_MATRIX) {
+            data.config.threads = threads;
+            let batches_before = data.trace.column_batches();
+            let t0 = Instant::now();
+            let seen =
+                Sweep::new(data).run(StudyPasses::default).expect("sweep").trace_counts.records;
+            *best = best.min(t0.elapsed().as_secs_f64());
+            assert_eq!(seen, records);
+            assert!(
+                data.trace.column_batches() > batches_before,
+                "{what} @ {threads} thread(s) silently fell back to row dispatch"
+            );
+        }
+    }
+    THREAD_MATRIX
+        .iter()
+        .zip(best)
+        .map(|(&threads, secs)| {
+            let oversubscribed = threads > hardware_threads;
+            let tag = if oversubscribed { " (oversubscribed)" } else { "" };
+            let m = report(&format!("{what} @ {threads} thread(s){tag}"), secs, bytes, records);
+            (threads, oversubscribed, m)
+        })
+        .collect()
 }
 
 /// One preset's full measurement block, as a JSON object string.
@@ -95,28 +141,8 @@ fn run_preset(
     // The scaling matrix: the same composite sweep at each thread count.
     // threads == 1 takes the sequential path (no worker spawn at all), so
     // the curve's baseline is the true single-thread cost.
-    let mut matrix: Vec<(usize, bool, Measurement)> = Vec::new();
-    for &threads in &THREAD_MATRIX {
-        data.config.threads = threads;
-        let oversubscribed = threads > hardware_threads;
-        let tag = if oversubscribed { " (oversubscribed)" } else { "" };
-        let batches_before = data.trace.column_batches();
-        let m = measure(
-            &format!("{preset_name} sweep @ {threads} thread(s){tag}"),
-            bytes,
-            records,
-            iters,
-            || {
-                let out = Sweep::new(&data).run(StudyPasses::default).expect("sweep");
-                assert_eq!(out.trace_counts.records, records);
-            },
-        );
-        assert!(
-            data.trace.column_batches() > batches_before,
-            "sweep @ {threads} thread(s) silently fell back to row dispatch"
-        );
-        matrix.push((threads, oversubscribed, m));
-    }
+    let matrix =
+        sweep_matrix(&format!("{preset_name} sweep"), &mut data, bytes, iters, hardware_threads);
     // Claim a speedup only from honest entries: the largest in-hardware
     // thread count against the single-thread baseline.
     let speedup = matrix
@@ -162,28 +188,13 @@ fn run_preset(
     // gives each worker a reader that decodes only its own span's
     // chunks. Byte-identity across the matrix is pinned by the golden
     // tests; here we measure and cross-check the counts.
-    let mut spilled_matrix: Vec<(usize, bool, Measurement)> = Vec::new();
-    for &threads in &THREAD_MATRIX {
-        spilled_data.config.threads = threads;
-        let oversubscribed = threads > hardware_threads;
-        let tag = if oversubscribed { " (oversubscribed)" } else { "" };
-        let batches_before = spilled_data.trace.column_batches();
-        let m = measure(
-            &format!("{preset_name} spilled v3 sweep @ {threads} thread(s){tag}"),
-            bytes,
-            records,
-            iters,
-            || {
-                let out = Sweep::new(&spilled_data).run(StudyPasses::default).expect("sweep");
-                assert_eq!(out.trace_counts.records, records);
-            },
-        );
-        assert!(
-            spilled_data.trace.column_batches() > batches_before,
-            "spilled sweep @ {threads} thread(s) silently fell back to row dispatch"
-        );
-        spilled_matrix.push((threads, oversubscribed, m));
-    }
+    let spilled_matrix = sweep_matrix(
+        &format!("{preset_name} spilled v3 sweep"),
+        &mut spilled_data,
+        bytes,
+        iters,
+        hardware_threads,
+    );
     let spilled = &spilled_matrix[0].2;
     let analyze_secs = (spilled.secs - decode_only.secs).max(0.0);
     eprintln!(

@@ -379,7 +379,9 @@ fn print_headlines(study: &Study, models: &HofModels) {
     let t2 = study.ho_types();
     println!("intra share:            paper 94.14%   measured {:.2}%", 100.0 * t2.intra_share());
     let d = study.durations();
-    println!("intra median duration:  paper 43 ms    measured {:.0} ms", d.intra.median());
+    if let Some(intra) = &d.intra {
+        println!("intra median duration:  paper 43 ms    measured {:.0} ms", intra.median());
+    }
     if let Some(e3) = &d.to3g {
         println!("->3G median duration:   paper 412 ms   measured {:.0} ms", e3.median());
     }

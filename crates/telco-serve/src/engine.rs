@@ -544,19 +544,19 @@ mod tests {
             IngestEngine::open(cfg.clone(), Box::new(DirStore::create(&dir).unwrap()), 7).unwrap();
         engine.ingest_next_day().unwrap();
         drop(engine);
-        // Re-frame the committed baseline as an older build's version 1.
+        // Re-frame the committed baseline as an older build's version 2.
         let store = DirStore::open(&dir).unwrap();
         let name = baseline_object(1);
         let bytes = get_bytes(&store, &name).unwrap();
         let payload = decode_frame(StudyPasses::SNAPSHOT_VERSION, &bytes).unwrap();
-        put_bytes(&store, &name, &encode_frame(1, payload)).unwrap();
+        put_bytes(&store, &name, &encode_frame(2, payload)).unwrap();
         let err = IngestEngine::open(cfg, Box::new(store), 7)
             .err()
-            .expect("a version-1 baseline must not restore");
+            .expect("a version-2 baseline must not restore");
         assert!(
             matches!(
                 &err,
-                ServeError::Snap { object, error: SnapError::BadVersion { expected: 2, found: 1 } }
+                ServeError::Snap { object, error: SnapError::BadVersion { expected: 3, found: 2 } }
                     if *object == name
             ),
             "{err}"

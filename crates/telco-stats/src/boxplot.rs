@@ -37,6 +37,10 @@ impl BoxplotStats {
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in boxplot input"));
         let q1 = percentile_sorted(&sorted, 25.0);
         let q3 = percentile_sorted(&sorted, 75.0);
+        // Interpolation can round the quartiles of two values an ulp
+        // apart past each other; a negative IQR would put the lower fence
+        // above every value, so order them first.
+        let (q1, q3) = if q3 < q1 { (q3, q1) } else { (q1, q3) };
         let iqr = q3 - q1;
         let lo_fence = q1 - 1.5 * iqr;
         let hi_fence = q3 + 1.5 * iqr;
@@ -108,6 +112,18 @@ mod tests {
         assert_eq!(b.q3, 5.0);
         assert_eq!(b.whisker_lo, 5.0);
         assert_eq!(b.whisker_hi, 5.0);
+        assert!(b.outliers.is_empty());
+    }
+
+    #[test]
+    fn quartiles_an_ulp_apart_stay_ordered() {
+        // Interpolating these two puts the 25th percentile one ulp above
+        // the 75th.
+        let xs = [0.8333333333333333, 0.8333333333333334];
+        let b = BoxplotStats::of(&xs).unwrap();
+        assert!(b.q1 <= b.median && b.median <= b.q3, "{b:?}");
+        assert!(b.iqr() >= 0.0);
+        assert_eq!((b.whisker_lo, b.whisker_hi), (xs[0], xs[1]));
         assert!(b.outliers.is_empty());
     }
 

@@ -23,7 +23,7 @@
 //! `SNAPSHOT_VERSION` and old snapshots fail loudly with
 //! [`SnapError::BadVersion`].
 
-use crate::crc32::crc32;
+use crate::crc32::Crc32;
 
 /// Magic prefix of a snapshot frame.
 pub const SNAP_MAGIC: [u8; 4] = *b"TLSN";
@@ -369,11 +369,17 @@ pub fn encode_frame(version: u16, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    let mut crc_input = Vec::with_capacity(payload.len() + 2);
-    crc_input.extend_from_slice(&version.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&crc_input).to_le_bytes());
+    out.extend_from_slice(&frame_crc(&version.to_le_bytes(), payload).to_le_bytes());
     out
+}
+
+/// The CRC-32 of a frame's version bytes followed by its payload, fed to
+/// the streaming hasher so neither is copied.
+fn frame_crc(version: &[u8], payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(version);
+    crc.update(payload);
+    crc.finish()
 }
 
 /// Validate a snapshot frame and return its payload.
@@ -401,10 +407,7 @@ pub fn decode_frame(expected_version: u16, bytes: &[u8]) -> Result<&[u8], SnapEr
     let payload = bytes.get(10..end).ok_or(SnapError::Truncated)?;
     let crc_bytes = bytes.get(end..end + 4).ok_or(SnapError::Truncated)?;
     let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    let mut crc_input = Vec::with_capacity(payload.len() + 2);
-    crc_input.extend_from_slice(&bytes[4..6]);
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != stored {
+    if frame_crc(&bytes[4..6], payload) != stored {
         return Err(SnapError::BadCrc);
     }
     // Version is checked after the CRC so corruption of the version

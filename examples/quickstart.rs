@@ -32,10 +32,9 @@ fn main() {
     // Fig. 8: how long handovers take.
     let durations = study.durations();
     println!("{}", durations.table());
-    println!(
-        "Median intra-4G/5G handover: {:.0} ms (the paper reports 43 ms)",
-        durations.intra.median()
-    );
+    if let Some(intra) = &durations.intra {
+        println!("Median intra-4G/5G handover: {:.0} ms (the paper reports 43 ms)", intra.median());
+    }
 
     // Fig. 14a: why handovers fail.
     let causes = study.causes();

@@ -469,6 +469,13 @@ impl FrameBuilder {
         let cells = (self.n_sectors as usize)
             .checked_mul(self.n_days as usize)
             .ok_or(SnapError::Malformed("frame grid size"))?;
+        // Ask the allocator for the grid first, so a header naming one it
+        // cannot provide is refused instead of aborting. Then take it
+        // zeroed, which leaves the untouched cells' pages unmapped, where
+        // filling a reservation would write every cell.
+        Vec::<CellGroup>::new()
+            .try_reserve_exact(cells)
+            .map_err(|_| SnapError::Malformed("frame grid size"))?;
         self.dense = vec![CellGroup::default(); cells];
         let mut idx = 0usize;
         for i in 0..r.get_len()? {
@@ -805,6 +812,21 @@ mod tests {
         assert_eq!(
             restore_builder(&grid_payload(&[2, 0])).err(),
             Some(SnapError::Malformed("frame groups not ascending"))
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_grid_the_allocator_cannot_provide() {
+        let mut w = SnapWriter::new();
+        w.put_u8(0);
+        w.put_u32(u32::MAX);
+        w.put_u32(u32::MAX);
+        w.put_varint(0);
+        w.put_varint(0);
+        let bytes = telco_trace::snap::encode_frame(FramePass::SNAPSHOT_VERSION, &w.into_bytes());
+        assert_eq!(
+            crate::sweep::restore_pass(&mut FramePass::default(), &bytes),
+            Err(SnapError::Malformed("frame grid size"))
         );
     }
 

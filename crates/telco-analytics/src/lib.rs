@@ -52,7 +52,7 @@ pub use manufacturer::{ManufacturerImpact, ManufacturerPass};
 pub use mobility_analysis::{HofVsMobility, MobilityEcdfs};
 pub use modeling::{HofModels, ModelingOptions};
 pub use pingpong::{PingPongAnalysis, PingPongPass};
-pub use study::{Study, StudyPasses, SweepOutputs};
+pub use study::{join, splits, Study, StudyPasses, SweepOutputs};
 pub use sweep::{
     restore_pass, snapshot_pass, AnalysisPass, Sweep, SweepCtx, TraceCounts, TraceCountsPass,
 };

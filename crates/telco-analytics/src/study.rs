@@ -249,10 +249,11 @@ impl AnalysisPass for StudyPasses {
     }
 }
 
-/// Whether the composite splits its merge and `end` in two: only when
-/// the sweep runs on more than one thread, resolved as [`Sweep::run`]
-/// resolves it, so a one-thread sweep spawns nothing.
-fn splits(ctx: &SweepCtx) -> bool {
+/// Whether work under `ctx` splits in two groups (the composite's merge
+/// and `end`, a served view's JSON): only when the sweep runs on more
+/// than one thread, resolved as [`Sweep::run`] resolves it, so a
+/// one-thread sweep spawns nothing.
+pub fn splits(ctx: &SweepCtx) -> bool {
     resolve_threads(ctx.config) > 1
 }
 
@@ -260,7 +261,11 @@ fn splits(ctx: &SweepCtx) -> bool {
 /// `parallel`, else both here, `a` first. The two share no state, so the
 /// results are the same either way. A panic in the worker resurfaces
 /// here with its own payload.
-fn join<A: Send, B>(parallel: bool, a: impl FnOnce() -> A + Send, b: impl FnOnce() -> B) -> (A, B) {
+pub fn join<A: Send, B>(
+    parallel: bool,
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B,
+) -> (A, B) {
     if !parallel {
         return (a(), b());
     }

@@ -27,11 +27,13 @@
 //! `baseline-<k+1>.snap` that never got a state commit) are deleted on
 //! reopen and rewritten identically by the retry.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use telco_analytics::{
-    restore_pass, snapshot_pass, AnalysisPass, Enriched, StudyPasses, SweepCtx, SweepOutputs,
+    join, restore_pass, snapshot_pass, splits, AnalysisPass, Enriched, StudyPasses, SweepCtx,
+    SweepOutputs,
 };
 use telco_sim::{run_shard, SimConfig, TraceSource, World};
 use telco_store::{get_bytes, get_string, put_bytes, ObjectStore};
@@ -349,18 +351,24 @@ impl IngestEngine {
     }
 
     /// [`SweepOutputs`] over exactly the last `min(days, committed)`
-    /// days, folded from their retained partials; `None` when nothing is
-    /// committed or fewer of those days are retained.
+    /// days, folded from their retained partials: the oldest is restored
+    /// and each later one merged into it; `None` when nothing is committed
+    /// or fewer of those days are retained.
     fn window_outputs(&self, days: u32) -> Result<Option<SweepOutputs>, ServeError> {
         let days = days.min(self.committed_days);
         if days == 0 || days > self.retained_days() {
             return Ok(None);
         }
         let ctx = self.ctx();
-        let mut acc = StudyPasses::default();
-        acc.begin(&ctx);
-        for (day, bytes) in self.partials.iter().skip(self.partials.len() - days as usize) {
-            acc.merge(restore_object(&day_object(*day), bytes)?, &ctx);
+        let mut window = self
+            .partials
+            .iter()
+            .skip(self.partials.len() - days as usize)
+            .map(|(day, bytes)| restore_object(&day_object(*day), bytes));
+        let Some(oldest) = window.next() else { return Ok(None) };
+        let mut acc = oldest?;
+        for partial in window {
+            acc.merge(partial?, &ctx);
         }
         Ok(Some(acc.end(&ctx)))
     }
@@ -371,9 +379,11 @@ impl IngestEngine {
     /// day-fold and they never contend with it.
     ///
     /// The full view is restored from the baseline snapshot the day just
-    /// committed, read back through the store, and serialized once: each
-    /// top-level analysis into its section, and `full` assembled from the
-    /// sections.
+    /// committed, read back through the store. Every view is serialized
+    /// the same way: each top-level analysis into its section, above one
+    /// sweep thread in two groups at once (`sections_of`), and the
+    /// view's JSON assembled from the sections. The full view keeps its
+    /// sections for section queries.
     pub fn build_view(&self) -> Result<ServedView, ServeError> {
         let mut view = ServedView {
             committed_days: self.committed_days,
@@ -384,17 +394,24 @@ impl IngestEngine {
         if self.committed_days == 0 {
             return Ok(view);
         }
+        let parallel = splits(&self.ctx());
         {
             // Scoped, so the restored study is freed before the window
             // folds build theirs.
             let outputs = self.outputs_from(&baseline_object(self.committed_days))?;
             view.records = outputs.trace_counts.records;
             view.failures = outputs.trace_counts.failures;
-            view.sections = sections_of(&outputs)?;
+            view.sections = sections_of(&outputs, parallel)?;
         }
-        view.full = Some(join_sections(&view.sections));
-        view.last_day = self.window_outputs(1)?.as_ref().map(to_json).transpose()?;
-        view.last_week = self.window_outputs(7)?.as_ref().map(to_json).transpose()?;
+        view.full = Some(join_sections(view.sections.iter().collect()));
+        let window_json = |days| -> Result<Option<String>, ServeError> {
+            let Some(outputs) = self.window_outputs(days)? else { return Ok(None) };
+            let sections = sections_of(&outputs, parallel)?;
+            drop(outputs);
+            Ok(Some(join_sections(sections)))
+        };
+        view.last_day = window_json(1)?;
+        view.last_week = window_json(7)?;
         Ok(view)
     }
 }
@@ -412,15 +429,25 @@ fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, ServeError
     serde_json::to_string(value).map_err(|e| ServeError::Json(e.to_string()))
 }
 
-/// Split a [`SweepOutputs`] into `(top-level field, compact JSON)` pairs
-/// for section queries, in declaration order.
-fn sections_of(o: &SweepOutputs) -> Result<Vec<(String, String)>, ServeError> {
+/// Split a [`SweepOutputs`] into `(top-level field, compact JSON)` pairs,
+/// in declaration order: the one path every served view's JSON takes.
+///
+/// When `parallel`, the two sector frames are written on a scoped worker
+/// while this thread writes the other twelve sections. The frames are
+/// most of the bytes (38 of the small preset's 46 MB), but they hold only
+/// integers and enum names, so with the float-heavy durations sample on
+/// this thread the two groups take about as long. At one thread all
+/// fourteen are written here, in declaration order, and nothing spawns.
+fn sections_of(o: &SweepOutputs, parallel: bool) -> Result<Vec<(String, String)>, ServeError> {
     macro_rules! sections {
         ($($field:ident),* $(,)?) => {
-            vec![$((stringify!($field).to_string(), to_json(&o.$field)?)),*]
+            || -> Result<Vec<(String, String)>, ServeError> {
+                Ok(vec![$((stringify!($field).to_string(), to_json(&o.$field)?)),*])
+            }
         };
     }
-    Ok(sections!(
+    let frames = sections!(frame, period_frame);
+    let rest = sections!(
         trace_counts,
         ho_types,
         durations,
@@ -433,17 +460,32 @@ fn sections_of(o: &SweepOutputs) -> Result<Vec<(String, String)>, ServeError> {
         causes,
         pingpong,
         vendor_analysis,
-        frame,
-        period_frame,
-    ))
+    );
+    let (frames, rest) = if parallel {
+        join(true, frames, rest)
+    } else {
+        let rest = rest();
+        (frames(), rest)
+    };
+    let mut sections = rest?;
+    sections.extend(frames?);
+    Ok(sections)
 }
 
 /// The compact JSON object with `sections` as its members, in order: what
 /// serializing the whole [`SweepOutputs`] writes, without writing it again.
-fn join_sections(sections: &[(String, String)]) -> String {
-    let len = sections.iter().map(|(name, json)| name.len() + json.len() + 4).sum::<usize>();
+/// Sections passed by value are freed as soon as they are copied in.
+fn join_sections<S: Borrow<(String, String)>>(sections: Vec<S>) -> String {
+    let len: usize = sections
+        .iter()
+        .map(|section| {
+            let (name, json) = section.borrow();
+            name.len() + json.len() + 4
+        })
+        .sum();
     let mut full = String::with_capacity(len + 1);
-    for (name, json) in sections {
+    for section in sections {
+        let (name, json) = section.borrow();
         full.push(if full.is_empty() { '{' } else { ',' });
         full.push('"');
         full.push_str(name);

@@ -46,10 +46,11 @@ use crate::engine::ServedView;
 /// request is under 100 bytes.
 const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// The published view cell: a mutex around an `Arc`, locked only long
-/// enough to clone or replace the pointer. Nothing can panic while the
-/// lock is held, so a poisoned lock still guards a whole `Arc` and is
-/// used as is.
+/// The published view cell: a mutex around an `Arc`, locked only to clone
+/// or swap the pointer. A replaced view is freed after the lock is
+/// released (tens of MB of strings, unmapped as they are freed), so no
+/// query waits on it. Nothing can panic while the lock is held, so a
+/// poisoned lock still guards a whole `Arc` and is used as is.
 pub struct Published {
     view: Mutex<Arc<ServedView>>,
 }
@@ -62,7 +63,12 @@ impl Published {
 
     /// Atomically replace the served view.
     pub fn publish(&self, view: ServedView) {
-        *self.view.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(view);
+        let view = Arc::new(view);
+        // The guard is a temporary: it unlocks at the end of this
+        // statement, before the replaced view drops.
+        let replaced =
+            std::mem::replace(&mut *self.view.lock().unwrap_or_else(PoisonError::into_inner), view);
+        drop(replaced);
     }
 
     /// The current view (cheap: one lock, one `Arc` clone).

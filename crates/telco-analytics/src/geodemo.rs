@@ -215,7 +215,8 @@ impl AnalysisPass for PopulationPass {
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.min_days = r.get_u32()?;
-        let n = r.get_len()?;
+        // Two varints per entry.
+        let n = r.get_count(2)?;
         self.per_ue = FxHashMap::default();
         self.per_ue.reserve(n);
         for _ in 0..n {
@@ -228,7 +229,8 @@ impl AnalysisPass for PopulationPass {
         self.ue_days = FxHashSet::default();
         self.ue_days.reserve(days.len());
         self.ue_days.extend(days);
-        let n = r.get_len()?;
+        // A varint and a u16 per entry.
+        let n = r.get_count(3)?;
         self.first_of_day = FxHashMap::default();
         self.first_of_day.reserve(n);
         for _ in 0..n {
@@ -349,5 +351,24 @@ mod tests {
         let sweep = Sweep::new(&s);
         assert!(sweep.run(PopulationPass::default).unwrap().table().to_string().contains("R²"));
         assert!(sweep.run(HoDensityPass::default).unwrap().table().to_string().contains("Pearson"));
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_allocating() {
+        let restore = |payload: Vec<u8>| {
+            let bytes = telco_trace::snap::encode_frame(PopulationPass::SNAPSHOT_VERSION, &payload);
+            crate::sweep::restore_pass(&mut PopulationPass::default(), &bytes)
+        };
+        // The dwell map, then (after no dwells and no UE-days) the
+        // first-of-day map.
+        for zeros in [0, 2] {
+            let mut w = SnapWriter::new();
+            w.put_u32(5);
+            for _ in 0..zeros {
+                w.put_varint(0);
+            }
+            w.put_varint(1 << 40);
+            assert_eq!(restore(w.into_bytes()), Err(SnapError::Truncated), "{zeros}");
+        }
     }
 }

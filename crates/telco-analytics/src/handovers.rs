@@ -9,11 +9,12 @@ use telco_devices::types::DeviceType;
 use telco_geo::district::DistrictId;
 use telco_signaling::messages::HoType;
 use telco_stats::desc::{mean, std_dev};
-use telco_stats::ecdf::Ecdf;
+use telco_stats::ecdf::CountEcdf;
 use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
 
+use crate::counts::MsCounts;
 use crate::frame::{DerivedPass, Enriched, FromDailyFrame, SectorDayFrame};
 use crate::sweep::{AnalysisPass, SweepCtx};
 use crate::tables::{num, pct, TextTable};
@@ -157,7 +158,8 @@ impl AnalysisPass for HoTypePass {
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let days = r.get_len()?;
+        // Nine varints a day, so no more days than a ninth of the bytes.
+        let days = r.get_count(9)?;
         self.counts = vec![[[0u64; 3]; 3]; days];
         for day in &mut self.counts {
             for row in day {
@@ -170,15 +172,16 @@ impl AnalysisPass for HoTypePass {
     }
 }
 
-/// Fig. 8 — signaling-duration ECDFs per handover type (successes only).
+/// Fig. 8 — signaling-duration ECDFs per handover type (successes only),
+/// over whole milliseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DurationAnalysis {
     /// ECDF of intra 4G/5G-NSA durations.
-    pub intra: Option<Ecdf>,
+    pub intra: Option<CountEcdf>,
     /// ECDF of →3G durations.
-    pub to3g: Option<Ecdf>,
+    pub to3g: Option<CountEcdf>,
     /// ECDF of →2G durations.
-    pub to2g: Option<Ecdf>,
+    pub to2g: Option<CountEcdf>,
 }
 
 impl DurationAnalysis {
@@ -195,63 +198,13 @@ impl DurationAnalysis {
     }
 }
 
-/// Streaming accumulator for [`DurationAnalysis`]: success durations per
-/// type, in trace order (the ECDF sorts at [`AnalysisPass::end`]).
+/// Streaming accumulator for [`DurationAnalysis`]: per type, the number
+/// of successful handovers at each whole millisecond. Its state follows
+/// the range of the durations, not the record count, and the ECDFs at
+/// [`AnalysisPass::end`] walk the counts instead of sorting a sample.
 #[derive(Debug, Default)]
 pub struct DurationPass {
-    /// Durations accumulate at trace precision (`f32`): half the push and
-    /// merge bandwidth of eager widening, and the `f32 → f64` cast at
-    /// `end` is exact, so the resulting ECDFs are bit-identical.
-    per_type: [Vec<f32>; 3],
-}
-
-impl DurationPass {
-    /// Sort the sample and build its ECDF. Durations are non-negative
-    /// finite `f32`s, whose IEEE-754 bit patterns order exactly like
-    /// their values — so an LSB radix sort over the raw bits replaces
-    /// the comparison sort, roughly 4× faster on the ~450k-sample intra
-    /// vector of the small preset (and the `f32 → f64` cast is exact,
-    /// so the resulting ECDF is bit-identical to the widened sort).
-    fn ecdf(sample: &[f32]) -> Ecdf {
-        let mut keys: Vec<u32> = sample
-            .iter()
-            .map(|&v| {
-                assert!(v >= 0.0 && v.is_finite(), "negative or non-finite duration sample");
-                v.to_bits()
-            })
-            .collect();
-        radix_sort_u32(&mut keys);
-        Ecdf::from_sorted(keys.iter().map(|&b| f64::from(f32::from_bits(b))).collect())
-    }
-}
-
-/// In-place byte-wise LSB radix sort. Each pass is counting-sort stable,
-/// so after the fourth pass the keys are fully ascending; passes whose
-/// byte is constant across the input (common for the exponent-heavy high
-/// bytes of a narrow duration distribution) are skipped outright.
-fn radix_sort_u32(keys: &mut Vec<u32>) {
-    let mut scratch = vec![0u32; keys.len()];
-    for shift in [0u32, 8, 16, 24] {
-        let mut counts = [0usize; 256];
-        for &k in keys.iter() {
-            counts[(k >> shift) as usize & 0xff] += 1;
-        }
-        if counts.contains(&keys.len()) {
-            continue;
-        }
-        let mut offsets = [0usize; 256];
-        let mut acc = 0usize;
-        for (o, &c) in offsets.iter_mut().zip(&counts) {
-            *o = acc;
-            acc += c;
-        }
-        for &k in keys.iter() {
-            let slot = &mut offsets[(k >> shift) as usize & 0xff];
-            scratch[*slot] = k;
-            *slot += 1;
-        }
-        std::mem::swap(keys, &mut scratch);
-    }
+    per_type: [MsCounts; 3],
 }
 
 impl AnalysisPass for DurationPass {
@@ -259,7 +212,7 @@ impl AnalysisPass for DurationPass {
 
     fn record(&mut self, r: &HoRecord, _e: &Enriched) {
         if !r.is_failure() {
-            self.per_type[r.ho_type().index()].push(r.duration_ms);
+            self.per_type[r.ho_type().index()].add(r.duration_ms);
         }
     }
 
@@ -268,8 +221,7 @@ impl AnalysisPass for DurationPass {
         let rows = batch.target_rats().iter().zip(batch.flags()).zip(batch.durations());
         for ((&rat, &flags), &duration) in rows {
             if flags & FLAG_FAILURE == 0 {
-                // telco-lint: allow(alloc): duration sample reservoir — percentile output needs every success sample, growth is amortized
-                self.per_type[HoType::from_target_rat(rat).index()].push(duration);
+                self.per_type[HoType::from_target_rat(rat).index()].add(duration);
             }
         }
     }
@@ -277,27 +229,26 @@ impl AnalysisPass for DurationPass {
 
     fn merge(&mut self, other: Self, _ctx: &SweepCtx) {
         for (mine, theirs) in self.per_type.iter_mut().zip(other.per_type) {
-            mine.extend(theirs);
+            mine.merge(theirs);
         }
     }
 
     fn end(self, _ctx: &SweepCtx) -> DurationAnalysis {
-        let [intra, to3g, to2g] =
-            self.per_type.map(|sample| (!sample.is_empty()).then(|| Self::ecdf(&sample)));
+        let [intra, to3g, to2g] = self.per_type.map(|counts| counts.ecdf());
         DurationAnalysis { intra, to3g, to2g }
     }
 
-    const SNAPSHOT_VERSION: u16 = 1;
+    const SNAPSHOT_VERSION: u16 = 2;
 
     fn snapshot(&self, w: &mut SnapWriter) {
-        for samples in &self.per_type {
-            w.put_f32s(samples);
+        for counts in &self.per_type {
+            counts.snapshot(w);
         }
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        for samples in &mut self.per_type {
-            *samples = r.get_f32s()?;
+        for counts in &mut self.per_type {
+            counts.restore(r)?;
         }
         Ok(())
     }
@@ -418,19 +369,44 @@ mod tests {
     }
 
     #[test]
-    fn radix_sort_matches_comparison_sort() {
-        // A mix that exercises every byte position: duplicates, zero,
-        // subnormal-range bits, and values spanning several exponents.
-        let samples: Vec<f32> =
-            vec![0.0, 17.25, 3.5e4, 1.0e-3, 17.25, 2.0e7, 0.5, 1.0, 8191.99, 1.0e-38, 42.0];
-        let mut keys: Vec<u32> = samples.iter().map(|v| v.to_bits()).collect();
-        super::radix_sort_u32(&mut keys);
-        let radix: Vec<f32> = keys.iter().map(|&b| f32::from_bits(b)).collect();
-        let mut expected = samples;
-        expected.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-        assert_eq!(radix, expected);
-        let mut empty: Vec<u32> = Vec::new();
-        super::radix_sort_u32(&mut empty);
-        assert!(empty.is_empty());
+    fn a_duration_of_u32_max_stays_out_of_the_dense_counts() {
+        let s = study();
+        let ctx = SweepCtx { world: &s.world, config: &s.config };
+        let enriched = Enriched::new(&s.world);
+        let record = HoRecord {
+            timestamp_ms: 0,
+            ue: telco_devices::population::UeId(0),
+            source_sector: telco_topology::elements::SectorId(0),
+            target_sector: telco_topology::elements::SectorId(1),
+            source_rat: telco_topology::rat::Rat::G4,
+            target_rat: telco_topology::rat::Rat::G4,
+            outcome: telco_trace::record::HoOutcome::Success,
+            cause: None,
+            duration_ms: u32::MAX,
+            srvcc: false,
+            messages: 8,
+        };
+        let mut batch = ColumnBatch::new();
+        batch.push_row(&record);
+        batch.push_row(&HoRecord { duration_ms: 43, ..record });
+        let mut pass = DurationPass::default();
+        pass.begin(&ctx);
+        pass.record_columns(&batch, &enriched);
+        pass.record(&record, &enriched);
+        assert!(pass.per_type[0].dense_len() <= crate::counts::DENSE_CAP as usize);
+        let intra = pass.end(&ctx).intra.expect("three successes");
+        assert_eq!(intra.counts(), &[(43, 1), (u32::MAX, 2)]);
+        assert_eq!(intra.median(), f64::from(u32::MAX));
+    }
+
+    #[test]
+    fn hostile_day_count_is_refused_before_allocating() {
+        let mut w = SnapWriter::new();
+        w.put_varint(1 << 40);
+        let bytes = telco_trace::snap::encode_frame(HoTypePass::SNAPSHOT_VERSION, &w.into_bytes());
+        assert_eq!(
+            crate::sweep::restore_pass(&mut HoTypePass::default(), &bytes),
+            Err(SnapError::Truncated)
+        );
     }
 }

@@ -8,13 +8,14 @@ use telco_geo::postcode::AreaType;
 use telco_signaling::causes::{CauseCode, PrincipalCause};
 use telco_signaling::messages::HoType;
 use telco_stats::boxplot::BoxplotStats;
-use telco_stats::ecdf::Ecdf;
+use telco_stats::ecdf::CountEcdf;
 use telco_trace::columnar::{ColumnBatch, FLAG_FAILURE};
 use telco_trace::hash::FxHashSet;
 use telco_trace::record::HoRecord;
 use telco_trace::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::bitset::IdSet;
+use crate::counts::MsCounts;
 use crate::frame::Enriched;
 use crate::sweep::{AnalysisPass, SweepCtx};
 use crate::tables::{num, pct, TextTable};
@@ -162,7 +163,8 @@ impl AnalysisPass for HofPatternsPass {
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let slots = r.get_len()?;
+        // Two varints, or two sets of at least a byte each, per slot.
+        let slots = r.get_count(2)?;
         self.hofs = vec![[0u32; 2]; slots];
         for slot in &mut self.hofs {
             for c in slot {
@@ -170,7 +172,7 @@ impl AnalysisPass for HofPatternsPass {
                     .map_err(|_| SnapError::Malformed("hof count overflow"))?;
             }
         }
-        let slots = r.get_len()?;
+        let slots = r.get_count(2)?;
         self.active = Vec::new();
         self.active.resize_with(slots, Default::default);
         for slot in &mut self.active {
@@ -199,8 +201,9 @@ pub struct CauseAnalysis {
     pub to2g_failure_share: f64,
     /// Distinct cause codes observed (paper collects 1k+).
     pub distinct_causes: usize,
-    /// Duration ECDF per principal cause (None when unobserved).
-    pub durations: Vec<Option<Ecdf>>,
+    /// Duration ECDF per principal cause, over whole milliseconds (None
+    /// when unobserved).
+    pub durations: Vec<Option<CountEcdf>>,
     /// Cause shares conditioned on area type (`[area][cause]`).
     pub by_area: [[f64; 9]; 2],
     /// Cause shares conditioned on device type (`[device][cause]`).
@@ -292,7 +295,8 @@ pub struct CausePass {
     daily_total: Vec<u64>,
     by_type: [u64; 3],
     seen: FxHashSet<u16>,
-    durations: Vec<Vec<f64>>,
+    /// Per principal cause, failures at each whole millisecond.
+    durations: [MsCounts; 8],
     by_area: [[u64; 9]; 2],
     by_device: [[u64; 9]; 3],
     /// `Manufacturer::index()` → per-cause-slot failure counts.
@@ -310,7 +314,7 @@ impl CausePass {
         day: u32,
         cause: CauseCode,
         ho_type: HoType,
-        duration: f32,
+        duration: u32,
         e: &Enriched,
     ) {
         let slot = cause_slot(cause);
@@ -323,8 +327,8 @@ impl CausePass {
         }
         self.by_type[ho_type.index()] += 1;
         self.seen.insert(cause.0);
-        if let Some(samples) = self.durations.get_mut(slot) {
-            samples.push(duration as f64);
+        if let Some(counts) = self.durations.get_mut(slot) {
+            counts.add(duration);
         }
         self.by_area[e.area_of(sector).index()][slot] += 1;
         self.by_device[e.device_of(ue).index()][slot] += 1;
@@ -347,7 +351,6 @@ impl AnalysisPass for CausePass {
         let n_days = ctx.config.n_days.max(1) as usize;
         self.daily = vec![[0u64; 9]; n_days];
         self.daily_total = vec![0u64; n_days];
-        self.durations = vec![Vec::new(); 8];
     }
 
     fn record(&mut self, r: &HoRecord, e: &Enriched) {
@@ -408,7 +411,7 @@ impl AnalysisPass for CausePass {
         }
         self.seen.extend(other.seen);
         for (mine, theirs) in self.durations.iter_mut().zip(other.durations) {
-            mine.extend(theirs);
+            mine.merge(theirs);
         }
         for (mine, theirs) in self.by_area.iter_mut().zip(other.by_area) {
             for (c, t) in mine.iter_mut().zip(theirs) {
@@ -488,11 +491,7 @@ impl AnalysisPass for CausePass {
             to2g_failure_share: self.by_type[HoType::To2g.index()] as f64
                 / total_failures.max(1) as f64,
             distinct_causes: self.seen.len(),
-            durations: self
-                .durations
-                .into_iter()
-                .map(|v| (!v.is_empty()).then(|| Ecdf::new(&v)))
-                .collect(),
+            durations: self.durations.iter().map(MsCounts::ecdf).collect(),
             by_area: [normalize(self.by_area[0]), normalize(self.by_area[1])],
             by_device: [
                 normalize(self.by_device[0]),
@@ -503,7 +502,7 @@ impl AnalysisPass for CausePass {
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 1;
+    const SNAPSHOT_VERSION: u16 = 2;
 
     fn snapshot(&self, w: &mut SnapWriter) {
         w.put_varint(self.daily.len() as u64);
@@ -523,9 +522,8 @@ impl AnalysisPass for CausePass {
         for code in seen {
             w.put_u16(code);
         }
-        w.put_varint(self.durations.len() as u64);
-        for samples in &self.durations {
-            w.put_f64s(samples);
+        for counts in &self.durations {
+            counts.snapshot(w);
         }
         for area in &self.by_area {
             for &c in area {
@@ -547,7 +545,8 @@ impl AnalysisPass for CausePass {
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let days = r.get_len()?;
+        // Nine varints a day, so no more days than a ninth of the bytes.
+        let days = r.get_count(9)?;
         self.daily = vec![[0u64; 9]; days];
         for day in &mut self.daily {
             for c in day {
@@ -558,16 +557,14 @@ impl AnalysisPass for CausePass {
         for c in &mut self.by_type {
             *c = r.get_varint()?;
         }
-        let n = r.get_len()?;
+        let n = r.get_count(2)?;
         self.seen = FxHashSet::default();
         self.seen.reserve(n);
         for _ in 0..n {
             self.seen.insert(r.get_u16()?);
         }
-        let slots = r.get_len()?;
-        self.durations = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            self.durations.push(r.get_f64s()?);
+        for counts in &mut self.durations {
+            counts.restore(r)?;
         }
         for area in &mut self.by_area {
             for c in area {
@@ -579,7 +576,7 @@ impl AnalysisPass for CausePass {
                 *c = r.get_varint()?;
             }
         }
-        let mfrs = r.get_len()?;
+        let mfrs = r.get_count(9)?;
         self.by_mfr = vec![[0u64; 9]; mfrs];
         for mfr in &mut self.by_mfr {
             for c in mfr {
@@ -656,5 +653,43 @@ mod tests {
     fn stacked_table_renders_all_rows() {
         let t = causes().table_stacked();
         assert!(t.len() >= 5, "expected at least area + device rows, got {}", t.len());
+    }
+
+    /// Restore `payload` into a fresh pass of type `P`, framed at its
+    /// snapshot version.
+    fn restore_payload<P: AnalysisPass + Default>(payload: Vec<u8>) -> Result<(), SnapError> {
+        let bytes = telco_trace::snap::encode_frame(P::SNAPSHOT_VERSION, &payload);
+        crate::sweep::restore_pass(&mut P::default(), &bytes)
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_allocating() {
+        let huge = 1u64 << 40;
+        // HofPatternsPass: the hour slots, then the active-sector slots.
+        let mut w = SnapWriter::new();
+        w.put_varint(huge);
+        assert_eq!(restore_payload::<HofPatternsPass>(w.into_bytes()), Err(SnapError::Truncated));
+        let mut w = SnapWriter::new();
+        w.put_varint(0);
+        w.put_varint(huge);
+        assert_eq!(restore_payload::<HofPatternsPass>(w.into_bytes()), Err(SnapError::Truncated));
+
+        // CausePass: its days, distinct causes, first duration counts and
+        // manufacturers, each after a valid all-zero prefix (no days, no
+        // daily totals, three by-type counters, no causes, eight empty
+        // duration samples, 45 area and device counters).
+        for (zeros, field) in [(0, "days"), (5, "causes"), (6, "durations"), (59, "manufacturers")]
+        {
+            let mut w = SnapWriter::new();
+            for _ in 0..zeros {
+                w.put_varint(0);
+            }
+            w.put_varint(huge);
+            assert_eq!(
+                restore_payload::<CausePass>(w.into_bytes()),
+                Err(SnapError::Truncated),
+                "hostile {field} length"
+            );
+        }
     }
 }

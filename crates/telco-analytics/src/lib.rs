@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub(crate) mod bitset;
+pub(crate) mod counts;
 pub mod frame;
 pub mod geodemo;
 pub mod handovers;

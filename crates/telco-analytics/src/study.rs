@@ -218,7 +218,7 @@ impl AnalysisPass for StudyPasses {
         }
     }
 
-    const SNAPSHOT_VERSION: u16 = 3;
+    const SNAPSHOT_VERSION: u16 = 4;
 
     /// The composite embeds one full frame (magic + version + CRC) per
     /// sub-pass, so a version bump in any single analysis invalidates a

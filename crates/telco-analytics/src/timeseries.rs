@@ -285,13 +285,14 @@ impl AnalysisPass for TemporalPass {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.n_weeks = r.get_len()?;
         for area in &mut self.ho_weeks {
-            let weeks = r.get_len()?;
+            let weeks = r.get_count(1)?;
             *area = Vec::with_capacity(weeks);
             for _ in 0..weeks {
                 area.push(r.get_f64s()?);
             }
         }
-        let slots = r.get_len()?;
+        // Two sets of at least a byte each per slot.
+        let slots = r.get_count(2)?;
         self.active = Vec::new();
         self.active.resize_with(slots, Default::default);
         for slot in &mut self.active {
@@ -301,6 +302,14 @@ impl AnalysisPass for TemporalPass {
         }
         self.urban_total = r.get_varint()?;
         self.total = r.get_varint()?;
+        // `end` indexes every slot of every week, so the shapes must agree.
+        let slots = self.n_weeks.checked_mul(SLOTS_PER_WEEK);
+        let weeks_fit = self.ho_weeks.iter().all(|area| {
+            area.len() == self.n_weeks && area.iter().all(|week| week.len() == SLOTS_PER_WEEK)
+        });
+        if !weeks_fit || slots != Some(self.active.len()) {
+            return Err(SnapError::Malformed("temporal grid shape"));
+        }
         Ok(())
     }
 }
@@ -359,5 +368,22 @@ mod tests {
         let e = evolution();
         let m = e.hos_urban.mean.iter().copied().fold(0.0f64, f64::max);
         assert!((m - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn hostile_lengths_are_refused_before_allocating() {
+        let restore = |payload: Vec<u8>| {
+            let bytes = telco_trace::snap::encode_frame(TemporalPass::SNAPSHOT_VERSION, &payload);
+            crate::sweep::restore_pass(&mut TemporalPass::default(), &bytes)
+        };
+        // The weeks of the urban area, then the active-sector slots.
+        for zeros in [1, 3] {
+            let mut w = SnapWriter::new();
+            for _ in 0..zeros {
+                w.put_varint(0);
+            }
+            w.put_varint(1 << 40);
+            assert_eq!(restore(w.into_bytes()), Err(SnapError::Truncated), "{zeros}");
+        }
     }
 }

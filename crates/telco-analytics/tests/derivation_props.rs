@@ -58,7 +58,7 @@ fn arb_records() -> impl Strategy<Value = Vec<HoRecord>> {
         arb_rat(),
         proptest::bool::ANY,
         1u16..1050,
-        0.0f32..20_000.0,
+        prop_oneof![0u32..20_000, 0u32..=u32::MAX],
     );
     proptest::collection::vec(record, 0..300).prop_map(|rows| {
         let world = &world().0;

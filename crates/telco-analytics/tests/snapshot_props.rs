@@ -68,7 +68,7 @@ fn arb_record() -> impl Strategy<Value = HoRecord> {
         arb_rat(),
         proptest::bool::ANY,
         1u16..1050,
-        0.0f32..20_000.0,
+        prop_oneof![0u32..20_000, 0u32..=u32::MAX],
         proptest::bool::ANY,
         0u16..40,
     )

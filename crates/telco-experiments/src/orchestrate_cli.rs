@@ -237,14 +237,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = std::sync::Arc::new(DirStore::create(&dir).unwrap());
         let mut manifest = Manifest::plan(SimConfig::tiny(), &PlanOptions::default()).unwrap();
-        manifest.trace_version = 2;
+        manifest.trace_version = 3;
         store_manifest(store.as_ref(), &manifest).unwrap();
 
         let err = orchestrate(store, &OrchestrateOptions::new(Launcher::InProcess)).unwrap_err();
         let message = failure_message(&err);
         assert_eq!(
             message,
-            "repro: orchestration failed: trace_version 2 is no longer supported (only v3); \
+            "repro: orchestration failed: trace_version 3 is no longer supported (only v4); \
              re-plan the study"
         );
         assert!(!message.contains("resume"), "{message}");

@@ -17,7 +17,7 @@
 
 use serde::{Deserialize, Serialize};
 use telco_sim::SimConfig;
-use telco_trace::store::VERSION3;
+use telco_trace::store::VERSION;
 
 /// Manifest schema version. Parsers tolerate unknown *fields* (forward
 /// compatibility); an unknown *format* number is a hard error.
@@ -56,7 +56,7 @@ pub struct Manifest {
     /// Human-readable scenario label (e.g. the preset name).
     pub scenario: String,
     /// Trace-store version shard files are written as: always
-    /// [`VERSION3`]. [`Manifest::from_json`] refuses any other.
+    /// [`VERSION`]. [`Manifest::from_json`] refuses any other.
     pub trace_version: u16,
     /// The complete simulation configuration. Shards are pure functions
     /// of this plus their entry coordinates.
@@ -103,7 +103,7 @@ impl std::fmt::Display for ManifestError {
             ManifestError::UnknownFormat(v) => write!(f, "unknown manifest format {v}"),
             ManifestError::UnsupportedTraceVersion(v) => write!(
                 f,
-                "trace_version {v} is no longer supported (only v{VERSION3}); re-plan the study"
+                "trace_version {v} is no longer supported (only v{VERSION}); re-plan the study"
             ),
             ManifestError::BadPlan(msg) => write!(f, "invalid plan: {msg}"),
         }
@@ -156,7 +156,7 @@ impl Manifest {
         Ok(Manifest {
             format: MANIFEST_FORMAT,
             scenario: opts.scenario.clone(),
-            trace_version: VERSION3,
+            trace_version: VERSION,
             config,
             entries,
         })
@@ -169,14 +169,14 @@ impl Manifest {
 
     /// Parse a stored manifest. Unknown JSON fields are ignored (forward
     /// compatibility); an unknown `format` or a `trace_version` other than
-    /// [`VERSION3`] is rejected.
+    /// [`VERSION`] is rejected.
     pub fn from_json(json: &str) -> Result<Manifest, ManifestError> {
         let manifest: Manifest =
             serde_json::from_str(json).map_err(|e| ManifestError::Parse(e.to_string()))?;
         if manifest.format != MANIFEST_FORMAT {
             return Err(ManifestError::UnknownFormat(manifest.format));
         }
-        if manifest.trace_version != VERSION3 {
+        if manifest.trace_version != VERSION {
             return Err(ManifestError::UnsupportedTraceVersion(manifest.trace_version));
         }
         Ok(manifest)

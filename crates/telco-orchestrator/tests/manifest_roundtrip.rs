@@ -64,15 +64,19 @@ fn unknown_fields_are_tolerated_unknown_format_is_not() {
 
 #[test]
 fn retired_trace_version_is_refused_by_name() {
+    // Version 3 stored durations as raw floats; 1 and 2 were row formats.
     let json = golden_manifest().to_json();
-    let v2 = json.replacen("\"trace_version\": 3", "\"trace_version\": 2", 1);
-    assert_ne!(v2, json);
-    let err = Manifest::from_json(&v2).unwrap_err();
-    assert_eq!(err, ManifestError::UnsupportedTraceVersion(2));
-    assert_eq!(
-        err.to_string(),
-        "trace_version 2 is no longer supported (only v3); re-plan the study"
-    );
+    for retired in [2, 3] {
+        let old =
+            json.replacen("\"trace_version\": 4", &format!("\"trace_version\": {retired}"), 1);
+        assert_ne!(old, json);
+        let err = Manifest::from_json(&old).unwrap_err();
+        assert_eq!(err, ManifestError::UnsupportedTraceVersion(retired));
+        assert_eq!(
+            err.to_string(),
+            format!("trace_version {retired} is no longer supported (only v4); re-plan the study")
+        );
+    }
 }
 
 #[test]

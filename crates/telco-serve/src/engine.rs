@@ -578,6 +578,36 @@ mod tests {
     }
 
     #[test]
+    fn a_baseline_with_a_hostile_length_is_refused_at_open() {
+        let dir = std::env::temp_dir().join("telco_serve_engine_hostile");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = test_config();
+        let mut engine =
+            IngestEngine::open(cfg.clone(), Box::new(DirStore::create(&dir).unwrap()), 7).unwrap();
+        engine.ingest_next_day().unwrap();
+        drop(engine);
+        // A CRC-clean baseline whose first analysis claims 2^40 days.
+        let mut hostile = telco_trace::snap::SnapWriter::new();
+        hostile.put_varint(1 << 40);
+        let mut composite = telco_trace::snap::SnapWriter::new();
+        composite.put_bytes(&encode_frame(
+            <telco_analytics::HoTypePass as AnalysisPass>::SNAPSHOT_VERSION,
+            &hostile.into_bytes(),
+        ));
+        let store = DirStore::open(&dir).unwrap();
+        let name = baseline_object(1);
+        let framed = encode_frame(StudyPasses::SNAPSHOT_VERSION, &composite.into_bytes());
+        put_bytes(&store, &name, &framed).unwrap();
+        let err = IngestEngine::open(cfg, Box::new(store), 7)
+            .err()
+            .expect("a hostile baseline must not restore");
+        assert!(
+            matches!(&err, ServeError::Snap { object, error: SnapError::Truncated } if *object == name),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn stale_baseline_is_refused_by_name() {
         let dir = std::env::temp_dir().join("telco_serve_engine_stale");
         let _ = std::fs::remove_dir_all(&dir);
@@ -586,19 +616,20 @@ mod tests {
             IngestEngine::open(cfg.clone(), Box::new(DirStore::create(&dir).unwrap()), 7).unwrap();
         engine.ingest_next_day().unwrap();
         drop(engine);
-        // Re-frame the committed baseline as an older build's version 2.
+        // Re-frame the committed baseline as the previous build's version
+        // 3, whose duration samples were raw floats.
         let store = DirStore::open(&dir).unwrap();
         let name = baseline_object(1);
         let bytes = get_bytes(&store, &name).unwrap();
         let payload = decode_frame(StudyPasses::SNAPSHOT_VERSION, &bytes).unwrap();
-        put_bytes(&store, &name, &encode_frame(2, payload)).unwrap();
+        put_bytes(&store, &name, &encode_frame(3, payload)).unwrap();
         let err = IngestEngine::open(cfg, Box::new(store), 7)
             .err()
-            .expect("a version-2 baseline must not restore");
+            .expect("a version-3 baseline must not restore");
         assert!(
             matches!(
                 &err,
-                ServeError::Snap { object, error: SnapError::BadVersion { expected: 3, found: 2 } }
+                ServeError::Snap { object, error: SnapError::BadVersion { expected: 4, found: 3 } }
                     if *object == name
             ),
             "{err}"

@@ -519,6 +519,8 @@ mod tests {
         t.advance(Phase::Preparing);
     }
 
+    // The guard is a `debug_assert!`, so only a debug build panics.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn srvcc_on_intra_rejected() {

@@ -229,7 +229,7 @@ pub fn simulate_ue_day(
                             target_rat: world.topology.sector(sib).rat,
                             outcome: if failed { HoOutcome::Failure } else { HoOutcome::Success },
                             cause,
-                            duration_ms: duration as f32,
+                            duration_ms: whole_ms(duration),
                             srvcc: false,
                             messages: msg_count,
                         });
@@ -329,7 +329,7 @@ pub fn simulate_ue_day(
                     target_rat,
                     outcome: if failed { HoOutcome::Failure } else { HoOutcome::Success },
                     cause,
-                    duration_ms: duration as f32,
+                    duration_ms: whole_ms(duration),
                     srvcc,
                     messages: msg_count,
                 });
@@ -372,7 +372,7 @@ pub fn simulate_ue_day(
                         target_rat: world.topology.sector(old).rat,
                         outcome: if xfailed { HoOutcome::Failure } else { HoOutcome::Success },
                         cause: xcause,
-                        duration_ms: xduration as f32,
+                        duration_ms: whole_ms(xduration),
                         srvcc: false,
                         messages: xmsgs,
                     });
@@ -433,6 +433,15 @@ pub fn simulate_ue_day(
     });
 }
 // telco-lint: deny-alloc(end)
+
+/// A sampled duration as the operator's probes record it: whole
+/// milliseconds, rounded half away from zero. The engine keeps the `f64`
+/// for the message layout, so rounding changes no other column and draws
+/// nothing from the RNG.
+#[inline]
+fn whole_ms(duration_ms: f64) -> u32 {
+    duration_ms.round() as u32
+}
 
 /// Run one handover through the failure model and the state machine;
 /// returns `(failed, cause, duration_ms, messages)`. `log` is the reused

@@ -643,7 +643,7 @@ mod tests {
             target_rat: if ue % 7 == 1 { Rat::G3 } else { Rat::G4 },
             outcome: if ue % 11 == 1 { HoOutcome::Failure } else { HoOutcome::Success },
             cause: (ue % 11 == 1).then(|| CauseCode::principal(PrincipalCause::TargetLoadTooHigh)),
-            duration_ms: 40.0 + (ue % 13) as f32,
+            duration_ms: 40 + ue % 13,
             srvcc: false,
             messages: 12,
         };

@@ -54,19 +54,25 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
 /// Panics if the slice is empty or `p` is outside `[0, 100]`.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile_sorted on empty slice");
+    percentile_of(sorted.len(), p, |i| sorted[i])
+}
+
+/// [`percentile_sorted`] over `n ≥ 1` ascending order statistics read
+/// through `at`: one interpolation for every representation of a sample,
+/// so a sample kept as counts yields its expanded slice's bits.
+pub(crate) fn percentile_of(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "p must be in [0,100], got {p}");
-    let n = sorted.len();
     if n == 1 {
-        return sorted[0];
+        return at(0);
     }
     let rank = p / 100.0 * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let w = rank - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
+        at(lo) * (1.0 - w) + at(hi) * w
     }
 }
 

@@ -2,10 +2,13 @@
 //!
 //! The paper plots ECDFs throughout (Figs. 8, 10, 13, 16). `Ecdf` stores the
 //! sorted sample once and answers `F(x)` and quantile queries in `O(log n)`.
+//! `CountEcdf` keeps a sample of whole numbers (durations in milliseconds,
+//! as the operator's probes record them) as one count per distinct value,
+//! and answers the same queries with the same bits.
 
 use serde::{Deserialize, Serialize};
 
-use crate::desc::percentile_sorted;
+use crate::desc::{percentile_of, percentile_sorted};
 
 /// An empirical CDF over a real-valued sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,6 +128,90 @@ impl Ecdf {
     }
 }
 
+/// An empirical CDF over a sample of whole numbers, kept as the count of
+/// each distinct value: its size follows the range of the values, not the
+/// number of observations. `len`, `eval`, `quantile`, `median`, `min` and
+/// `max` equal [`Ecdf`]'s over the expanded sample bit for bit.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CountEcdf {
+    /// `(value, count)` pairs: values strictly ascending, counts non-zero.
+    counts: Vec<(u32, u64)>,
+}
+
+impl CountEcdf {
+    /// Build from `(value, count)` pairs in ascending value order. Pairs
+    /// with a zero count are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every count is zero, or if the values do not strictly
+    /// ascend.
+    pub fn from_counts(pairs: impl IntoIterator<Item = (u32, u64)>) -> Self {
+        let counts: Vec<(u32, u64)> = pairs.into_iter().filter(|&(_, c)| c > 0).collect();
+        assert!(!counts.is_empty(), "CountEcdf requires a nonempty sample");
+        assert!(
+            counts.windows(2).all(|w| w[0].0 < w[1].0),
+            "CountEcdf::from_counts requires strictly ascending values"
+        );
+        CountEcdf { counts }
+    }
+
+    /// Number of observations.
+    pub fn len(&self) -> usize {
+        self.counts.iter().map(|&(_, c)| c).sum::<u64>() as usize
+    }
+
+    /// Whether the sample is empty (never true by construction).
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// `F(x) = P(X <= x)`, the fraction of observations `<= x`.
+    pub fn eval(&self, x: f64) -> f64 {
+        let at_most: u64 =
+            self.counts.iter().take_while(|&&(v, _)| f64::from(v) <= x).map(|&(_, c)| c).sum();
+        at_most as f64 / self.len() as f64
+    }
+
+    /// Quantile (inverse CDF) with linear interpolation; `p` in `[0, 1]`.
+    pub fn quantile(&self, p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "quantile requires p in [0,1]");
+        percentile_of(self.len(), p * 100.0, |i| self.order_statistic(i))
+    }
+
+    /// Median of the sample.
+    pub fn median(&self) -> f64 {
+        self.quantile(0.5)
+    }
+
+    /// Minimum observation.
+    pub fn min(&self) -> f64 {
+        f64::from(self.counts[0].0)
+    }
+
+    /// Maximum observation.
+    pub fn max(&self) -> f64 {
+        f64::from(self.counts.last().expect("nonempty").0)
+    }
+
+    /// The `(value, count)` pairs, ascending.
+    pub fn counts(&self) -> &[(u32, u64)] {
+        &self.counts
+    }
+
+    /// The `i`-th smallest observation (0-based; the largest past the end).
+    fn order_statistic(&self, i: usize) -> f64 {
+        let mut seen = 0u64;
+        for &(v, c) in &self.counts {
+            seen += c;
+            if (i as u64) < seen {
+                return f64::from(v);
+            }
+        }
+        self.max()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,5 +282,32 @@ mod tests {
     #[should_panic]
     fn empty_sample_rejected() {
         Ecdf::new(&[]);
+    }
+
+    #[test]
+    fn count_ecdf_matches_the_expanded_sample() {
+        let c = CountEcdf::from_counts([(0, 2), (3, 0), (7, 1), (40, 3)]);
+        let e = Ecdf::new(&[0.0, 0.0, 7.0, 40.0, 40.0, 40.0]);
+        assert_eq!(c.len(), e.len());
+        assert_eq!(c.counts(), &[(0, 2), (7, 1), (40, 3)]);
+        for p in [0.0, 0.1, 0.25, 0.5, 0.95, 1.0] {
+            assert_eq!(c.quantile(p).to_bits(), e.quantile(p).to_bits(), "p = {p}");
+        }
+        for x in [-1.0, 0.0, 6.5, 7.0, 40.0, 41.0, f64::NAN] {
+            assert_eq!(c.eval(x).to_bits(), e.eval(x).to_bits(), "x = {x}");
+        }
+        assert_eq!((c.min(), c.max()), (0.0, 40.0));
+    }
+
+    #[test]
+    #[should_panic]
+    fn count_ecdf_rejects_an_empty_sample() {
+        CountEcdf::from_counts([(5, 0)]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn count_ecdf_rejects_unordered_values() {
+        CountEcdf::from_counts([(5, 1), (5, 1)]);
     }
 }

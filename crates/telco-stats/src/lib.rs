@@ -50,7 +50,7 @@ pub use anova::{one_way_anova, tukey_hsd, AnovaResult};
 pub use boxplot::BoxplotStats;
 pub use corr::{linear_fit, pearson, r_squared, spearman};
 pub use desc::{mean, median, percentile, std_dev, variance, Summary};
-pub use ecdf::Ecdf;
+pub use ecdf::{CountEcdf, Ecdf};
 pub use forest::{ForestOptions, RandomForest};
 pub use hist::{BinnedSamples, Histogram, LogBins};
 pub use kruskal::{kruskal_wallis, KruskalResult};

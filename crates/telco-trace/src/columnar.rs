@@ -1,9 +1,9 @@
-//! Format v3 chunk payloads: struct-of-arrays column encoding.
+//! Format v4 chunk payloads: struct-of-arrays column encoding.
 //!
 //! The aggregate-heavy access patterns of the analyses (per-sector,
 //! per-day, per-type counting — §4–§6 of the paper) touch two or three
 //! fields of every record; the row-oriented 36-byte frames of v1/v2 make
-//! every scan drag the full record through the cache anyway. A v3 chunk
+//! every scan drag the full record through the cache anyway. A chunk
 //! payload instead stores one column per [`HoRecord`] field, each with a
 //! lightweight compression chosen for that field's distribution:
 //!
@@ -17,7 +17,7 @@
 //! | 5  | `target_rat`    | bit-packed, 2 bits/record                     |
 //! | 6  | flags           | bit-packed, 3 bits/record (fail·srvcc·cause)  |
 //! | 7  | `cause`         | varint, one per record with the cause flag    |
-//! | 8  | `duration_ms`   | raw `f32` little-endian (floats don't varint) |
+//! | 8  | `duration_ms`   | varint (whole milliseconds)                   |
 //! | 9  | `messages`      | varint                                        |
 //!
 //! Each column is framed as `u8 id | u32 len (BE) | body`, in ascending
@@ -62,7 +62,7 @@ const COL_CAUSE: u8 = 7;
 const COL_DURATION: u8 = 8;
 const COL_MESSAGES: u8 = 9;
 
-/// Number of column groups in a v3 payload.
+/// Number of column groups in a payload.
 const COLUMNS: usize = 10;
 
 /// Record flag bit (column 6): the handover failed.
@@ -267,7 +267,7 @@ impl ColumnEncoder {
         Self::default()
     }
 
-    /// Encode `records` as a v3 columnar payload, appended to `out`.
+    /// Encode `records` as a columnar payload, appended to `out`.
     pub fn encode(&mut self, records: &[HoRecord], out: &mut Vec<u8>) {
         // Column 0: timestamps — absolute first value, wrapping zigzag
         // deltas after (lossless even when a chunk is unsorted).
@@ -344,12 +344,11 @@ impl ColumnEncoder {
         }
         end_group(out, at);
 
-        // Column 8: durations — raw f32 bits; float payloads are
-        // high-entropy in the low (mantissa) bits, so varint would grow
-        // them.
+        // Column 8: durations in whole ms, plain varint (one byte below
+        // 128 ms, two below 16.4 s).
         let at = begin_group(out, COL_DURATION);
         for r in records {
-            out.extend_from_slice(&r.duration_ms.to_bits().to_le_bytes());
+            put_varint(out, u64::from(r.duration_ms));
         }
         end_group(out, at);
 
@@ -390,7 +389,7 @@ pub struct ColumnBatch {
     target_rats: Vec<Rat>,
     flags: Vec<u8>,
     causes: Vec<u16>,
-    durations: Vec<f32>,
+    durations: Vec<u32>,
     messages: Vec<u16>,
 }
 
@@ -438,7 +437,7 @@ impl ColumnBatch {
         self.target_rats.resize(count, Rat::G4);
         self.flags.resize(count, 0);
         self.causes.resize(count, 0);
-        self.durations.resize(count, 0.0);
+        self.durations.resize(count, 0);
         self.messages.resize(count, 0);
     }
 
@@ -492,9 +491,9 @@ impl ColumnBatch {
         &self.causes
     }
 
-    /// `duration_ms` column.
+    /// `duration_ms` column (whole milliseconds).
     #[inline]
-    pub fn durations(&self) -> &[f32] {
+    pub fn durations(&self) -> &[u32] {
         &self.durations
     }
 
@@ -633,13 +632,6 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    #[inline]
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.buf.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
-    }
-
     fn exhausted(&self) -> bool {
         self.pos >= self.buf.len()
     }
@@ -716,7 +708,7 @@ fn decode_dict(
     Ok(())
 }
 
-/// Decode a v3 columnar payload of `count` records into the reusable
+/// Decode a columnar payload of `count` records into the reusable
 /// struct-of-arrays buffers of `out` (cleared first; contents are
 /// unspecified after an error). Strict: every column must hold exactly
 /// `count` values with no trailing garbage, every dictionary index must
@@ -832,10 +824,8 @@ pub fn decode_columns(
     let (body, payload) = next_group(payload, COL_DURATION, "duration")?;
     let mut bytes = ByteReader::new(body);
     for dur in out.durations.iter_mut() {
-        let raw = bytes.take(4).ok_or(CodecError::BadField("duration"))?;
-        let mut word = [0u8; 4];
-        word.copy_from_slice(raw.get(..4).unwrap_or(&[0; 4]));
-        *dur = f32::from_bits(u32::from_le_bytes(word));
+        let v = bytes.varint().ok_or(CodecError::BadField("duration"))?;
+        *dur = u32::try_from(v).map_err(|_| CodecError::BadField("duration"))?;
     }
     if !bytes.exhausted() {
         return Err(CodecError::BadField("duration"));
@@ -860,7 +850,7 @@ pub fn decode_columns(
 }
 // telco-lint: deny-alloc(end)
 
-/// Decode a v3 payload into materialized rows: [`decode_columns`] plus a
+/// Decode a payload into materialized rows: [`decode_columns`] plus a
 /// transpose. Kept for row-oriented consumers and tests; the sweep scans
 /// the [`ColumnBatch`] directly.
 pub fn decode_rows(
@@ -895,7 +885,7 @@ mod tests {
             target_rat: if fail { Rat::G3 } else { Rat::G4 },
             outcome: if fail { HoOutcome::Failure } else { HoOutcome::Success },
             cause: fail.then(|| CauseCode::principal(PrincipalCause::TargetLoadTooHigh)),
-            duration_ms: 42.5,
+            duration_ms: 42,
             srvcc: fail,
             messages: 12,
         }
@@ -986,6 +976,44 @@ mod tests {
             decode_columns(&payload, chunk.len(), &mut batch).expect("clean payload decodes");
             assert_eq!(batch.rows().collect::<Vec<_>>(), chunk);
         }
+    }
+
+    #[test]
+    fn durations_roundtrip_across_varint_widths() {
+        // 127 and 128 straddle the first varint byte; u32::MAX takes five.
+        let durations = [0u32, 127, 128, u32::MAX];
+        let records: Vec<HoRecord> = durations
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| HoRecord { duration_ms: d, ..rec(i as u64, i as u32, 1, false) })
+            .collect();
+        assert_eq!(roundtrip(&records), records);
+        let mut payload = Vec::new();
+        ColumnEncoder::new().encode(&records, &mut payload);
+        let mut batch = ColumnBatch::new();
+        decode_columns(&payload, records.len(), &mut batch).expect("clean payload decodes");
+        assert_eq!(batch.durations(), &durations);
+    }
+
+    #[test]
+    fn a_duration_past_u32_is_refused() {
+        let records = vec![rec(1, 1, 1, false)];
+        let mut payload = Vec::new();
+        ColumnEncoder::new().encode(&records, &mut payload);
+        // Columns 8 and 9 close the payload: rebuild column 8 with a
+        // varint of 2^32 (five bytes) in place of the one-byte 42.
+        let at = payload.len() - (5 + 1) - (5 + 1);
+        assert_eq!(payload[at], COL_DURATION);
+        let mut forged = payload[..at].to_vec();
+        forged.push(COL_DURATION);
+        forged.extend_from_slice(&5u32.to_be_bytes());
+        forged.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x10]);
+        forged.extend_from_slice(&payload[at + 6..]);
+        let mut out = ColumnBatch::new();
+        assert_eq!(
+            decode_columns(&forged, 1, &mut out).unwrap_err(),
+            CodecError::BadField("duration")
+        );
     }
 
     #[test]

@@ -178,7 +178,7 @@ mod tests {
             target_rat: target,
             outcome: if fail { HoOutcome::Failure } else { HoOutcome::Success },
             cause: fail.then(|| CauseCode::principal(PrincipalCause::TargetLoadTooHigh)),
-            duration_ms: 50.0,
+            duration_ms: 50,
             srvcc: false,
             messages: 12,
         }

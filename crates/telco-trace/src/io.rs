@@ -103,7 +103,7 @@ mod tests {
                 target_rat: if i % 11 == 0 { Rat::G3 } else { Rat::G4 },
                 outcome: if fail { HoOutcome::Failure } else { HoOutcome::Success },
                 cause: fail.then(|| CauseCode::principal(PrincipalCause::SourceCanceled)),
-                duration_ms: 43.0 + i as f32,
+                duration_ms: 43 + i as u32,
                 srvcc: i % 13 == 0,
                 messages: 12,
             });

@@ -24,7 +24,7 @@ use std::path::Path;
 
 use crate::io::{CodecError, MAGIC};
 use crate::record::HoRecord;
-use crate::store::{trailer_crc, ChunkIssue, TraceReader, HEADER_BYTES, TRAILER_MAGIC, VERSION3};
+use crate::store::{trailer_crc, ChunkIssue, TraceReader, HEADER_BYTES, TRAILER_MAGIC, VERSION};
 
 /// Bytes of the trailer frame: magic + u64 records + u32 chunks + u32
 /// crc.
@@ -48,7 +48,7 @@ pub struct TrailerProbe {
 /// trailer — the signature a crashed or killed writer leaves behind —
 /// without reading the stream body. A probe success does *not* vouch for
 /// the chunk payloads; pair it with [`validate_file`] when the answer
-/// must be authoritative. A header of any version but [`VERSION3`] is
+/// must be authoritative. A header of any version but [`VERSION`] is
 /// refused with [`CodecError::BadVersion`].
 pub fn probe_trailer(path: &Path) -> Result<TrailerProbe, CodecError> {
     let mut file = std::fs::File::open(path).map_err(|e| CodecError::Io(e.kind()))?;
@@ -69,7 +69,7 @@ pub fn probe_trailer_seekable<S: Read + Seek>(src: &mut S) -> Result<TrailerProb
         return Err(CodecError::BadMagic);
     }
     let version = u16::from_be_bytes([header[4], header[5]]);
-    if version != VERSION3 {
+    if version != VERSION {
         // Report the version rather than a misleading trailer error.
         return Err(CodecError::BadVersion(version));
     }
@@ -172,7 +172,7 @@ mod tests {
             target_rat: Rat::G4,
             outcome: HoOutcome::Success,
             cause: None,
-            duration_ms: 50.0,
+            duration_ms: 50,
             srvcc: false,
             messages: 12,
         }

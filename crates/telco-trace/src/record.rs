@@ -43,8 +43,9 @@ pub struct HoRecord {
     pub outcome: HoOutcome,
     /// Failure cause code; `None` on success.
     pub cause: Option<CauseCode>,
-    /// Handover signaling duration, ms.
-    pub duration_ms: f32,
+    /// Handover signaling duration in whole milliseconds, the granularity
+    /// the operator's probes record.
+    pub duration_ms: u32,
     /// Whether the handover was an SRVCC voice-continuity procedure.
     pub srvcc: bool,
     /// Number of signaling messages exchanged.
@@ -123,7 +124,7 @@ mod tests {
             target_rat: Rat::G3,
             outcome: HoOutcome::Success,
             cause: None,
-            duration_ms: 412.0,
+            duration_ms: 412,
             srvcc: false,
             messages: 12,
         }

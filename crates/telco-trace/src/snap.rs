@@ -291,6 +291,24 @@ impl<'a> SnapReader<'a> {
         usize::try_from(self.get_varint()?).map_err(|_| SnapError::Malformed("length overflow"))
     }
 
+    /// Read the length prefix of `n` items that encode in at least
+    /// `min_bytes` each, refusing as [`SnapError::Truncated`] a length the
+    /// rest of the payload cannot hold. A restore that allocates for `n`
+    /// items reads `n` here, so a hostile length is refused before
+    /// anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapReader::get_len`], plus [`SnapError::Truncated`] when
+    /// `n × min_bytes` passes [`SnapReader::remaining`].
+    pub fn get_count(&mut self, min_bytes: usize) -> Result<usize, SnapError> {
+        let n = self.get_len()?;
+        match n.checked_mul(min_bytes.max(1)) {
+            Some(bytes) if bytes <= self.remaining() => Ok(n),
+            _ => Err(SnapError::Truncated),
+        }
+    }
+
     /// Read an `f32` from its bit pattern.
     ///
     /// # Errors
@@ -470,6 +488,25 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes[..5]);
         assert_eq!(r.get_u64(), Err(SnapError::Truncated));
+    }
+
+    #[test]
+    fn counts_past_the_payload_are_refused() {
+        let mut w = SnapWriter::new();
+        w.put_varint(3);
+        w.put_u16(1);
+        w.put_u16(2);
+        w.put_u16(3);
+        w.put_varint(1 << 40);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.get_count(2).unwrap(), 3);
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(r.get_count(5), Err(SnapError::Truncated));
+        let mut r = SnapReader::new(&bytes[7..]);
+        assert_eq!(r.get_count(1), Err(SnapError::Truncated));
+        let mut r = SnapReader::new(&bytes[7..]);
+        assert_eq!(r.get_count(0), Err(SnapError::Truncated));
     }
 
     #[test]

@@ -335,7 +335,7 @@ mod tests {
             target_rat: Rat::G4,
             outcome: HoOutcome::Success,
             cause: None,
-            duration_ms: 50.0,
+            duration_ms: 50,
             srvcc: false,
             messages: 12,
         }

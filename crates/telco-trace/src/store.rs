@@ -1,4 +1,4 @@
-//! The chunked streaming trace store: format v3, the only binary trace
+//! The chunked streaming trace store: format v4, the only binary trace
 //! format.
 //!
 //! The paper's operator collects ≈8 TB of signaling per day (§3.1); no
@@ -7,7 +7,7 @@
 //! incrementally and readers can stream with bounded memory:
 //!
 //! ```text
-//! header   "TLHO" | u16 version = 3 | u32 days                  (10 bytes)
+//! header   "TLHO" | u16 version = 4 | u32 days                  (10 bytes)
 //! chunk    "CHNK" | u32 seq | u32 count | u32 payload_len | u32 crc32 | payload
 //! ...
 //! trailer  "TEND" | u64 records | u32 chunks | u32 crc32        (20 bytes)
@@ -18,7 +18,8 @@
 //! compression), whose size is not derivable from `count` — hence the
 //! explicit `payload_len` field. Readers refuse any other version by
 //! number ([`CodecError::BadVersion`]): versions 1 and 2, the retired
-//! row-oriented formats, included.
+//! row-oriented formats, and version 3, whose duration column held raw
+//! `f32`s where version 4 holds whole-millisecond varints, included.
 //!
 //! Every byte of the stream is covered by a check: each chunk's CRC32
 //! covers its payload, chunk sequence numbers must run contiguously, and
@@ -48,8 +49,8 @@ use crate::io::{CodecError, MAGIC};
 use crate::record::HoRecord;
 
 /// The format version every stream carries: the columnar chunked store
-/// ([`crate::columnar`]).
-pub const VERSION3: u16 = 3;
+/// ([`crate::columnar`]) with whole-millisecond durations.
+pub const VERSION: u16 = 4;
 /// Bytes of the stream header (magic + version + days).
 pub const HEADER_BYTES: usize = 10;
 /// Magic opening every chunk frame.
@@ -122,7 +123,7 @@ pub struct RawChunk {
 pub(crate) fn trailer_crc(days: u32, totals: &[u8]) -> u32 {
     let mut sealed = Vec::with_capacity(HEADER_BYTES + 12);
     sealed.put_slice(&MAGIC);
-    sealed.put_u16(VERSION3);
+    sealed.put_u16(VERSION);
     sealed.put_u32(days);
     sealed.put_slice(totals);
     crc32(&sealed)
@@ -160,7 +161,7 @@ impl<W: Write> TraceWriter<W> {
     pub fn new(mut sink: W, days: u32) -> std::io::Result<Self> {
         let mut header = Vec::with_capacity(HEADER_BYTES);
         header.put_slice(&MAGIC);
-        header.put_u16(VERSION3);
+        header.put_u16(VERSION);
         header.put_u32(days);
         sink.write_all(&header)?;
         Ok(TraceWriter {
@@ -318,7 +319,7 @@ impl TraceReader<BufReader<File>> {
 
 impl<R: Read> TraceReader<R> {
     /// Wrap a reader, consuming and validating the stream header. A
-    /// header of any version but [`VERSION3`] is refused with
+    /// header of any version but [`VERSION`] is refused with
     /// [`CodecError::BadVersion`].
     pub fn new(src: R) -> Result<Self, CodecError> {
         let mut reader = TraceReader {
@@ -343,7 +344,7 @@ impl<R: Read> TraceReader<R> {
             return Err(CodecError::BadMagic);
         }
         let version = u16::from_be_bytes([header[4], header[5]]);
-        if version != VERSION3 {
+        if version != VERSION {
             return Err(CodecError::BadVersion(version));
         }
         reader.days = u32::from_be_bytes([header[6], header[7], header[8], header[9]]);
@@ -915,7 +916,7 @@ mod tests {
             target_rat: if fail { Rat::G3 } else { Rat::G4 },
             outcome: if fail { HoOutcome::Failure } else { HoOutcome::Success },
             cause: fail.then(|| CauseCode::principal(PrincipalCause::TargetLoadTooHigh)),
-            duration_ms: 50.0,
+            duration_ms: 50,
             srvcc: false,
             messages: 12,
         }
@@ -950,7 +951,7 @@ mod tests {
     #[test]
     fn retired_versions_refused_by_number() {
         let mut bytes = encode(&sample_dataset(2, 50));
-        for version in [1u16, 2, 4, u16::MAX] {
+        for version in [1u16, 2, 3, 5, u16::MAX] {
             bytes[4..6].copy_from_slice(&version.to_be_bytes());
             assert_eq!(TraceReader::new(&bytes[..]).unwrap_err(), CodecError::BadVersion(version));
         }
@@ -1190,10 +1191,23 @@ mod tests {
     }
 
     #[test]
-    fn writer_header_is_version_3() {
+    fn writer_header_is_version_4() {
         let bytes = encode(&SignalingDataset::new(1));
         assert_eq!(bytes[..4], MAGIC);
-        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), VERSION3);
+        assert_eq!(u16::from_be_bytes([bytes[4], bytes[5]]), 4);
+        assert_eq!(VERSION, 4);
+    }
+
+    #[test]
+    fn a_version_3_trace_is_refused_by_name() {
+        // Version 3 stored durations as raw f32 bits, which a version 4
+        // reader would take for varints: refuse the header instead of
+        // decoding wrong durations.
+        let mut bytes = encode(&sample_dataset(2, 50));
+        bytes[4..6].copy_from_slice(&3u16.to_be_bytes());
+        let err = TraceReader::new(&bytes[..]).unwrap_err();
+        assert_eq!(err, CodecError::BadVersion(3));
+        assert_eq!(err.to_string(), "unsupported trace version 3");
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn arb_record() -> impl Strategy<Value = HoRecord> {
         arb_rat(),
         proptest::bool::ANY,
         1u16..1050,
-        0.0f32..20_000.0,
+        prop_oneof![0u32..20_000, 0u32..=u32::MAX],
         proptest::bool::ANY,
         0u16..40,
     )
@@ -59,7 +59,7 @@ fn arb_record() -> impl Strategy<Value = HoRecord> {
 
 /// Encode into the chunked store, splitting the records over chunks of
 /// `chunk_len` so frame boundaries land in arbitrary places.
-fn encode_v3(dataset: &SignalingDataset, chunk_len: usize) -> Vec<u8> {
+fn encode_stream(dataset: &SignalingDataset, chunk_len: usize) -> Vec<u8> {
     let mut w = TraceWriter::new(Vec::new(), dataset.days).unwrap();
     for chunk in dataset.records().chunks(chunk_len.max(1)) {
         w.write_chunk(chunk).unwrap();
@@ -71,28 +71,28 @@ proptest! {
     #![proptest_config(ProptestConfig::default())]
 
     #[test]
-    fn v3_roundtrips_any_chunking(
+    fn codec_roundtrips_any_chunking(
         records in proptest::collection::vec(arb_record(), 0..200),
         chunk_len in 1usize..64,
     ) {
         let dataset = SignalingDataset::from_records(28, records);
-        let bytes = encode_v3(&dataset, chunk_len);
-        let mut reader = TraceReader::new(&bytes[..]).expect("valid v3 header");
-        let decoded = reader.read_to_dataset_strict().expect("valid v3 frames decode");
+        let bytes = encode_stream(&dataset, chunk_len);
+        let mut reader = TraceReader::new(&bytes[..]).expect("valid header");
+        let decoded = reader.read_to_dataset_strict().expect("valid frames decode");
         prop_assert_eq!(&dataset, &decoded);
         prop_assert!(reader.trailer_seen());
         prop_assert!(reader.issues().is_empty());
     }
 
     #[test]
-    fn v3_bit_flips_never_panic_and_are_detected(
+    fn codec_bit_flips_never_panic_and_are_detected(
         records in proptest::collection::vec(arb_record(), 1..80),
         chunk_len in 1usize..32,
         byte_frac in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
         let dataset = SignalingDataset::from_records(28, records);
-        let clean = encode_v3(&dataset, chunk_len);
+        let clean = encode_stream(&dataset, chunk_len);
         let mut raw = clean.clone();
         let pos = ((byte_frac * raw.len() as f64) as usize).min(raw.len() - 1);
         raw[pos] ^= 1 << bit;
@@ -114,13 +114,13 @@ proptest! {
     }
 
     #[test]
-    fn v3_truncation_never_panics(
+    fn codec_truncation_never_panics(
         records in proptest::collection::vec(arb_record(), 0..80),
         chunk_len in 1usize..32,
         cut_frac in 0.0f64..1.0,
     ) {
         let dataset = SignalingDataset::from_records(28, records);
-        let clean = encode_v3(&dataset, chunk_len);
+        let clean = encode_stream(&dataset, chunk_len);
         let cut = (cut_frac * clean.len() as f64) as usize;
         if cut >= clean.len() {
             return Ok(());
@@ -156,12 +156,12 @@ fn regression_count_flip_resyncs() {
             target_rat: Rat::G4,
             outcome: HoOutcome::Success,
             cause: None,
-            duration_ms: 10.0,
+            duration_ms: 10,
             srvcc: false,
             messages: 8,
         }],
     );
-    let mut raw = encode_v3(&dataset, 1);
+    let mut raw = encode_stream(&dataset, 1);
     // Chunk count field sits after the 10-byte header + 4 magic + 4 seq.
     for b in &mut raw[18..22] {
         *b = 0xFF;
@@ -186,13 +186,13 @@ fn regression_boundary_truncation_detected() {
             target_rat: Rat::G4,
             outcome: HoOutcome::Success,
             cause: None,
-            duration_ms: 5.0,
+            duration_ms: 5,
             srvcc: false,
             messages: 4,
         })
         .collect();
     let dataset = SignalingDataset::from_records(1, records);
-    let raw = encode_v3(&dataset, 10);
+    let raw = encode_stream(&dataset, 10);
     let cut = &raw[..raw.len() - 20]; // drop exactly the trailer
     let mut reader = TraceReader::new(cut).unwrap();
     let recovered = reader.read_to_dataset();
@@ -211,18 +211,18 @@ fn plain_record(ts: u64) -> HoRecord {
         target_rat: Rat::G4,
         outcome: HoOutcome::Success,
         cause: None,
-        duration_ms: 12.5,
+        duration_ms: 12,
         srvcc: false,
         messages: 6,
     }
 }
 
 /// Timestamps may regress *within* a chunk (merge tails, clock skew): the
-/// v3 delta column uses wrapping signed deltas, so non-monotone and
+/// delta column uses wrapping signed deltas, so non-monotone and
 /// u64-extreme values must survive bit-exactly. An early draft used
 /// saturating deltas and silently flattened regressions.
 #[test]
-fn regression_v3_timestamp_regression_within_chunk_roundtrips() {
+fn regression_timestamp_regression_within_chunk_roundtrips() {
     let ts = [5u64, 3, 10, u64::MAX, 0, u64::MAX / 2, 7];
     let records: Vec<HoRecord> = ts.iter().map(|&t| plain_record(t)).collect();
     let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
@@ -241,13 +241,13 @@ fn regression_v3_timestamp_regression_within_chunk_roundtrips() {
 /// skipped), never trusted as an allocation size. The payload CRC is
 /// recomputed so the corruption reaches the column decoder itself.
 #[test]
-fn regression_v3_dictionary_overflow_rejected() {
+fn regression_dictionary_overflow_rejected() {
     let mut raw = {
         let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
         w.write_chunk(&[plain_record(1)]).unwrap();
         w.finish().unwrap()
     };
-    // Layout: 10-byte stream header, then the v3 frame:
+    // Layout: 10-byte stream header, then the chunk frame:
     // magic 10..14 | seq 14..18 | count 18..22 | payload_len 22..26 |
     // crc 26..30 | payload.
     let payload_len = u32::from_be_bytes(raw[22..26].try_into().unwrap()) as usize;
@@ -279,7 +279,7 @@ fn regression_v3_dictionary_overflow_rejected() {
 /// zero-entry dictionaries, zero-width bit-packs); they must frame and
 /// decode cleanly when interleaved with data chunks.
 #[test]
-fn regression_v3_empty_chunks_roundtrip() {
+fn regression_empty_chunks_roundtrip() {
     let mut w = TraceWriter::new(Vec::new(), 1).unwrap();
     w.write_chunk(&[]).unwrap();
     w.write_chunk(&[plain_record(10), plain_record(20)]).unwrap();

@@ -432,12 +432,14 @@ fn to_json<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, ServeError
 /// Split a [`SweepOutputs`] into `(top-level field, compact JSON)` pairs,
 /// in declaration order: the one path every served view's JSON takes.
 ///
-/// When `parallel`, the two sector frames are written on a scoped worker
-/// while this thread writes the other twelve sections. The frames are
-/// most of the bytes (38 of the small preset's 46 MB), but they hold only
-/// integers and enum names, so with the float-heavy durations sample on
-/// this thread the two groups take about as long. At one thread all
-/// fourteen are written here, in declaration order, and nothing spawns.
+/// When `parallel`, the daily sector frame is written on a scoped worker
+/// while this thread writes the other thirteen sections. The two sector
+/// frames are most of the bytes (small preset: 30 of 38 MB), integers
+/// and enum names; the other twelve sections write in about a
+/// millisecond, so the full-period frame (a quarter of the daily frame's
+/// time) goes with them and the two groups take about as long. At one
+/// thread all fourteen are written here, in declaration order, and
+/// nothing spawns.
 fn sections_of(o: &SweepOutputs, parallel: bool) -> Result<Vec<(String, String)>, ServeError> {
     macro_rules! sections {
         ($($field:ident),* $(,)?) => {
@@ -446,8 +448,7 @@ fn sections_of(o: &SweepOutputs, parallel: bool) -> Result<Vec<(String, String)>
             }
         };
     }
-    let frames = sections!(frame, period_frame);
-    let rest = sections!(
+    let head = sections!(
         trace_counts,
         ho_types,
         durations,
@@ -461,14 +462,17 @@ fn sections_of(o: &SweepOutputs, parallel: bool) -> Result<Vec<(String, String)>
         pingpong,
         vendor_analysis,
     );
-    let (frames, rest) = if parallel {
-        join(true, frames, rest)
+    let frame = sections!(frame);
+    let period_frame = sections!(period_frame);
+    let (head, frame, period_frame) = if parallel {
+        let (frame, (head, period_frame)) = join(true, frame, || (head(), period_frame()));
+        (head, frame, period_frame)
     } else {
-        let rest = rest();
-        (frames(), rest)
+        (head(), frame(), period_frame())
     };
-    let mut sections = rest?;
-    sections.extend(frames?);
+    let mut sections = head?;
+    sections.extend(frame?);
+    sections.extend(period_frame?);
     Ok(sections)
 }
 

@@ -76,9 +76,8 @@ pub struct SweepOutputs {
 /// Above one sweep thread, `merge` and `end` run in two groups at once:
 /// the daily frame (its grid merge, then `finish` and the five outputs
 /// derived from it) on a scoped worker, the eight record analyses on the
-/// calling thread. The frame chain and the durations ECDF with the other
-/// seven `end`s take about as long, so two groups balance the tail and
-/// more would not shorten it. Each sub-pass still merges in span order
+/// calling thread. The frame chain is the longer group, so more groups
+/// would not shorten the tail. Each sub-pass still merges in span order
 /// and ends from its own state, so the outputs are the same bytes at
 /// every thread count.
 #[derive(Default)]

@@ -29,20 +29,6 @@ impl Ecdf {
         Ecdf { sorted }
     }
 
-    /// Build from a pre-sorted vector (takes ownership, no copy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty or not ascending.
-    pub fn from_sorted(sorted: Vec<f64>) -> Self {
-        assert!(!sorted.is_empty(), "Ecdf requires a nonempty sample");
-        assert!(
-            sorted.windows(2).all(|w| w[0] <= w[1]),
-            "Ecdf::from_sorted requires ascending input"
-        );
-        Ecdf { sorted }
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -264,18 +250,6 @@ mod tests {
         assert_eq!(a.ks_statistic(&b), 0.0);
         let c = Ecdf::new(&[10.0, 11.0]);
         assert_eq!(a.ks_statistic(&c), 1.0);
-    }
-
-    #[test]
-    fn from_sorted_accepts_ascending() {
-        let e = Ecdf::from_sorted(vec![1.0, 1.0, 5.0]);
-        assert_eq!(e.len(), 3);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_sorted_rejects_descending() {
-        Ecdf::from_sorted(vec![2.0, 1.0]);
     }
 
     #[test]

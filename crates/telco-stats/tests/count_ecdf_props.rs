@@ -23,7 +23,7 @@ fn arb_pairs() -> impl Strategy<Value = Vec<(u32, u64)>> {
 }
 
 fn expand(pairs: &[(u32, u64)]) -> Vec<f64> {
-    pairs.iter().flat_map(|&(v, c)| std::iter::repeat(f64::from(v)).take(c as usize)).collect()
+    pairs.iter().flat_map(|&(v, c)| vec![f64::from(v); c as usize]).collect()
 }
 
 proptest! {

@@ -128,11 +128,6 @@ impl SnapWriter {
         self.buf.push(v as u8);
     }
 
-    /// Append an `f32` as its IEEE-754 bit pattern (exact round-trip).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
-    }
-
     /// Append an `f64` as its IEEE-754 bit pattern (exact round-trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -157,14 +152,6 @@ impl SnapWriter {
         self.put_varint(vs.len() as u64);
         for &v in vs {
             self.put_f64(v);
-        }
-    }
-
-    /// Append a length-prefixed vector of `f32` bit patterns.
-    pub fn put_f32s(&mut self, vs: &[f32]) {
-        self.put_varint(vs.len() as u64);
-        for &v in vs {
-            self.put_f32(v);
         }
     }
 }
@@ -309,15 +296,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Read an `f32` from its bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] at end of payload.
-    pub fn get_f32(&mut self) -> Result<f32, SnapError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
     /// Read an `f64` from its bit pattern.
     ///
     /// # Errors
@@ -361,20 +339,6 @@ impl<'a> SnapReader<'a> {
         let mut out = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
         for _ in 0..n {
             out.push(self.get_f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a length-prefixed vector of `f32` bit patterns.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Truncated`] when the prefix outruns the payload.
-    pub fn get_f32s(&mut self) -> Result<Vec<f32>, SnapError> {
-        let n = self.get_len()?;
-        let mut out = Vec::with_capacity(n.min(self.remaining() / 4 + 1));
-        for _ in 0..n {
-            out.push(self.get_f32()?);
         }
         Ok(out)
     }
@@ -455,12 +419,10 @@ mod tests {
         w.put_varint(127);
         w.put_varint(128);
         w.put_varint(u64::MAX);
-        w.put_f32(-0.0);
         w.put_f64(f64::MIN_POSITIVE);
         w.put_bytes(b"abc");
         w.put_u64s(&[1, 2, 300]);
         w.put_f64s(&[1.5, -2.25]);
-        w.put_f32s(&[3.75]);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
@@ -472,12 +434,10 @@ mod tests {
         assert_eq!(r.get_varint().unwrap(), 127);
         assert_eq!(r.get_varint().unwrap(), 128);
         assert_eq!(r.get_varint().unwrap(), u64::MAX);
-        assert_eq!(r.get_f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert_eq!(r.get_f64().unwrap(), f64::MIN_POSITIVE);
         assert_eq!(r.get_bytes().unwrap(), b"abc");
         assert_eq!(r.get_u64s().unwrap(), vec![1, 2, 300]);
         assert_eq!(r.get_f64s().unwrap(), vec![1.5, -2.25]);
-        assert_eq!(r.get_f32s().unwrap(), vec![3.75]);
         r.finish().unwrap();
     }
 

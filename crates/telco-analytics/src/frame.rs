@@ -315,8 +315,8 @@ type CellGroup = [(u32, u32); HoType::ALL.len()];
 /// `(source sector, day, HO type)`, independent of how many records flow
 /// through.
 ///
-/// This is the hottest per-record loop in the analytics layer (the
-/// stream-aggregate benchmark is essentially this plus the codec), so
+/// This is the hottest per-record loop in the analytics layer (a
+/// stream-to-frame aggregate is essentially this plus the codec), so
 /// the layout is chosen for one array or hash operation per record: a
 /// dense `sector × day` grid, and an [`FxHashMap`] keyed by the packed
 /// `sector << 32 | day` word for cells outside it, whose value carries

@@ -492,32 +492,43 @@ mod tests {
         let mut cfg = SimConfig::tiny();
         cfg.n_ues = 800;
         cfg.n_days = 2;
-        let study = Study::run(cfg);
-        // Touch every analysis the repro pipeline renders, including both
-        // frames and the models built on the period frame.
-        let _ = study.trace_counts();
-        let _ = study.dataset_stats();
-        let _ = study.ho_types();
-        let _ = study.deployment_evolution();
-        let _ = study.rat_usage();
-        let _ = study.device_mix();
-        let _ = study.population_inference();
-        let _ = study.ho_density();
-        let _ = study.temporal_evolution();
-        let _ = study.durations();
-        let _ = study.district_distribution();
-        let _ = study.mobility();
-        let _ = study.manufacturer_impact();
-        let _ = study.hof_patterns();
-        let _ = study.hof_vs_mobility();
-        let _ = study.causes();
-        let _ = study.models();
-        let _ = study.vendor_analysis();
-        let _ = study.pingpong();
-        let _ = study.frame();
-        let _ = study.period_frame();
-        let sweeps = study.data().trace.sweeps();
-        assert!(sweeps <= 2, "full study took {sweeps} trace traversals, expected ≤ 2");
-        assert!(sweeps >= 1, "analyses never touched the trace");
+        let dir = std::env::temp_dir().join(format!("telco_one_sweep_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spilled = Study::from_data(telco_sim::run_study_spilled(cfg.clone(), &dir).unwrap());
+        for (label, study) in [("in memory", Study::run(cfg)), ("spilled", spilled)] {
+            let trace = &study.data().trace;
+            let (sweeps_before, batches_before) = (trace.sweeps(), trace.column_batches());
+            // Touch every analysis the repro pipeline renders, including
+            // both frames and the models built on the period frame.
+            let _ = study.trace_counts();
+            let _ = study.dataset_stats();
+            let _ = study.ho_types();
+            let _ = study.deployment_evolution();
+            let _ = study.rat_usage();
+            let _ = study.device_mix();
+            let _ = study.population_inference();
+            let _ = study.ho_density();
+            let _ = study.temporal_evolution();
+            let _ = study.durations();
+            let _ = study.district_distribution();
+            let _ = study.mobility();
+            let _ = study.manufacturer_impact();
+            let _ = study.hof_patterns();
+            let _ = study.hof_vs_mobility();
+            let _ = study.causes();
+            let _ = study.models();
+            let _ = study.vendor_analysis();
+            let _ = study.pingpong();
+            let _ = study.frame();
+            let _ = study.period_frame();
+            let sweeps = trace.sweeps() - sweeps_before;
+            assert_eq!(sweeps, 1, "{label}: full study took {sweeps} trace traversals, expected 1");
+            assert!(
+                trace.column_batches() > batches_before,
+                "{label}: the sweep fell back from column batches to rows"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -332,7 +332,7 @@ fn golden_study_tiny_orchestrated() {
 }
 
 /// Record-level fingerprint of one simulated study: the record count,
-/// the records per day, the length and CRC-32 of the sealed v3 stream,
+/// the records per day, the length and CRC-32 of the sealed trace stream,
 /// and a CRC-32 over every mobility row. One record or row that moves,
 /// by a single bit, changes a checksum.
 fn trace_fingerprint(name: &str, config: SimConfig) -> String {
@@ -347,9 +347,9 @@ fn trace_fingerprint(name: &str, config: SimConfig) -> String {
     for r in dataset.records() {
         per_day[r.day() as usize] += 1;
     }
-    let mut writer = TraceWriter::new(Vec::new(), config.n_days).expect("v3 header");
-    writer.write_dataset(dataset).expect("v3 encode");
-    let stream = writer.finish().expect("v3 trailer");
+    let mut writer = TraceWriter::new(Vec::new(), config.n_days).expect("trace header");
+    writer.write_dataset(dataset).expect("trace encode");
+    let stream = writer.finish().expect("trace trailer");
 
     let mut mobility = Crc32::new();
     for m in &output.mobility {
@@ -365,7 +365,7 @@ fn trace_fingerprint(name: &str, config: SimConfig) -> String {
     let per_day: Vec<String> = per_day.iter().map(u64::to_string).collect();
     format!(
         "  \"{name}\": {{\n    \"records\": {},\n    \"per_day\": [{}],\n    \
-         \"v3_bytes\": {},\n    \"v3_crc32\": \"{:08x}\",\n    \
+         \"stream_bytes\": {},\n    \"stream_crc32\": \"{:08x}\",\n    \
          \"mobility_rows\": {},\n    \"mobility_crc32\": \"{:08x}\"\n  }}",
         dataset.len(),
         per_day.join(", "),

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use telco_analytics::{StudyPasses, Sweep, TraceCountsPass};
 use telco_sim::{run_study, SimConfig, StudyData, TraceSource};
-use telco_trace::store::{TraceWriter, CHUNK_MAGIC, HEADER_BYTES, V3_FRAME_HEADER_BYTES};
+use telco_trace::store::{TraceWriter, CHUNK_MAGIC, FRAME_HEADER_BYTES, HEADER_BYTES};
 
 /// Seal the study's in-memory records at `path` as a v3 trace of
 /// `chunk`-record chunks.
@@ -37,7 +37,7 @@ fn frame_offsets(bytes: &[u8]) -> Vec<usize> {
     while bytes[at..].starts_with(&CHUNK_MAGIC) {
         offsets.push(at);
         let len = u32::from_be_bytes(bytes[at + 12..at + 16].try_into().unwrap()) as usize;
-        at += V3_FRAME_HEADER_BYTES + len;
+        at += FRAME_HEADER_BYTES + len;
     }
     offsets
 }
@@ -100,10 +100,10 @@ fn damaged_spilled_spans_match_the_sequential_sweep() {
     assert!(frames.len() >= 12, "only {} chunks", frames.len());
 
     let mut crc_flip = bytes.clone();
-    crc_flip[frames[3] + V3_FRAME_HEADER_BYTES + 7] ^= 0x40;
+    crc_flip[frames[3] + FRAME_HEADER_BYTES + 7] ^= 0x40;
     let mut bad_magic = bytes.clone();
     bad_magic[frames[5]..frames[5] + 4].copy_from_slice(b"XXXX");
-    let truncated = bytes[..frames[frames.len() - 3] + V3_FRAME_HEADER_BYTES + 9].to_vec();
+    let truncated = bytes[..frames[frames.len() - 3] + FRAME_HEADER_BYTES + 9].to_vec();
 
     let mut cases = vec![("fewer chunks than threads", few, false)];
     for (name, damaged) in [

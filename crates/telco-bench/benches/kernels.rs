@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use telco_bench::bench_study;
+use telco_bench::fixture_study;
 use telco_devices::population::UeId;
 use telco_geo::coords::KmPoint;
 use telco_mobility::schedule::DayOfWeek;
@@ -71,7 +71,7 @@ fn encode(dataset: &SignalingDataset) -> Vec<u8> {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    let dataset = bench_study().data().trace.as_dataset().expect("in-memory study");
+    let dataset = fixture_study().data().trace.as_dataset().expect("in-memory study");
     let encoded = encode(dataset);
     let mut g = c.benchmark_group("codec");
     g.sample_size(20);
@@ -118,7 +118,7 @@ fn trajectory_positions(world: &World, cfg: &SimConfig, n: u32) -> Vec<KmPoint> 
 }
 
 fn bench_spatial(c: &mut Criterion) {
-    let study = bench_study();
+    let study = fixture_study();
     let topo = &study.data().world.topology;
     let bounds = study.data().world.country.bounds;
     let mut g = c.benchmark_group("spatial");

@@ -1,9 +1,9 @@
 //! # telco-bench
 //!
-//! Shared fixtures for the Criterion benchmark harness. The benches
-//! regenerate every table and figure of the paper against a pre-simulated
-//! study (`benches/experiments.rs`) and measure the hot kernels of the
-//! pipeline (`benches/kernels.rs`).
+//! Shared fixture for the Criterion kernel benches (`benches/kernels.rs`):
+//! the hot paths below any layer the repository benchmark (`perfbench/`)
+//! times — a batch of UE-days, the handover state machine, the trace
+//! codec, serving-sector lookups, and the OLS/ANOVA/ECDF kernels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -15,7 +15,7 @@ use telco_sim::SimConfig;
 
 /// The benchmark study: a one-week, 2k-UE run shared by every benchmark
 /// (simulated once per process).
-pub fn bench_study() -> &'static Study {
+pub fn fixture_study() -> &'static Study {
     static CELL: OnceLock<Study> = OnceLock::new();
     CELL.get_or_init(|| {
         let mut cfg = SimConfig::tiny();
@@ -30,6 +30,6 @@ pub fn bench_study() -> &'static Study {
 mod tests {
     #[test]
     fn fixture_builds() {
-        assert!(super::bench_study().data().trace.len() > 1000);
+        assert!(super::fixture_study().data().trace.len() > 1000);
     }
 }

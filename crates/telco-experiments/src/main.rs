@@ -2,17 +2,23 @@
 //! Lens* (IMC '24) from a simulated countrywide trace.
 //!
 //! ```text
-//! repro [--small|--tiny] [all|table1|table2|table3|table4|table5|table6|
-//!        table7|table8|table9|fig3a|fig3b|fig4a|fig4b|fig5|fig6|fig7|
-//!        fig8|fig9|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|fig16|
-//!        fig17|fig18|headlines]
+//! repro [--small|--medium|--tiny] [--spill-dir <dir>]
+//!       [all|table1|table2|table3|fig3a|fig3b|fig4a|fig4b|fig5|fig6|
+//!        fig7|fig8|fig9|fig10|fig11|fig12|fig13|fig14a|fig14b|fig15|
+//!        table4|table5|table6|table7|table8|table9|fig16|pingpong|
+//!        fig17|fig18|headlines|ablations ...]
+//! repro plan|worker|orchestrate --dir <store> ...
+//! repro serve|query ...
 //! ```
 //!
-//! With no experiment argument, `all` is assumed. `--small` runs the
-//! 7-day/3k-UE configuration instead of the full 28-day study; `--tiny`
-//! is for smoke tests. `--spill-dir <dir>` runs the simulation out of
-//! core: per-worker runs spill to `<dir>` as chunk files and are merged
-//! from disk, bounding trace memory (byte-identical output).
+//! With no experiment argument, `all` is assumed; `ablations` is opt-in
+//! (three extra simulations). Any other word is refused with the usage
+//! line and exit code 2, before anything is simulated. `--small` runs the
+//! 7-day/3k-UE configuration and `--medium` a larger one instead of the
+//! full 28-day study; `--tiny` is for smoke tests. `--spill-dir <dir>`
+//! runs the simulation out of core: per-worker runs spill to `<dir>` as
+//! chunk files and are merged from disk, bounding trace memory
+//! (byte-identical output).
 
 #![forbid(unsafe_code)]
 
@@ -21,12 +27,27 @@ use telco_analytics::Study;
 use telco_sim::SimConfig;
 use telco_stats::desc::percentile;
 
-mod bench_runner;
-mod bench_serve;
-mod bench_study;
-mod bench_trace;
 mod orchestrate_cli;
 mod serve_cli;
+
+/// Every experiment name `repro` accepts, in the order `all` prints them.
+/// The argument check and `--help` both read this list.
+const EXPERIMENTS: &str = "all table1 table2 table3 fig3a fig3b fig4a fig4b fig5 fig6 fig7 \
+     fig8 fig9 fig10 fig11 fig12 fig13 fig14a fig14b fig15 table4 table5 table6 table7 table8 \
+     table9 fig16 pingpong fig17 fig18 headlines ablations";
+
+fn accepts(name: &str) -> bool {
+    EXPERIMENTS.split_whitespace().any(|n| n == name)
+}
+
+fn usage() -> String {
+    format!(
+        "usage: repro [--small|--medium|--tiny] [--spill-dir <dir>] [experiment ...]\n       \
+         repro plan|worker|orchestrate --dir <store> ...  (sharded sweeps; see EXPERIMENTS.md)\n       \
+         repro serve|query ...  (snapshot-native ingest + query service; see EXPERIMENTS.md)\n\
+         experiments: {EXPERIMENTS}"
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,24 +62,14 @@ fn main() {
         }
     }
     let mut config = SimConfig::default_study();
-    let mut preset_name = "default";
     let mut spill_dir: Option<std::path::PathBuf> = None;
     let mut wanted: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--small" => {
-                config = SimConfig::small();
-                preset_name = "small";
-            }
-            "--medium" => {
-                config = SimConfig::medium();
-                preset_name = "medium";
-            }
-            "--tiny" => {
-                config = SimConfig::tiny();
-                preset_name = "tiny";
-            }
+            "--small" => config = SimConfig::small(),
+            "--medium" => config = SimConfig::medium(),
+            "--tiny" => config = SimConfig::tiny(),
             "--spill-dir" => match iter.next() {
                 Some(dir) => spill_dir = Some(std::path::PathBuf::from(dir)),
                 None => {
@@ -67,81 +78,25 @@ fn main() {
                 }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--small|--medium|--tiny] [--spill-dir <dir>] \
-                     [bench-runner|bench-trace|bench-study|bench-serve|experiment ...]\n       \
-                     repro plan|worker|orchestrate --dir <store> ...  (sharded sweeps; \
-                     see EXPERIMENTS.md)\n       \
-                     repro serve|query ...  (snapshot-native ingest + query service; \
-                     see EXPERIMENTS.md)"
-                );
+                println!("{}", usage());
                 return;
             }
-            other => wanted.push(other.to_string()),
+            name if accepts(name) => wanted.push(name.to_string()),
+            other => {
+                eprintln!("{}", usage());
+                eprintln!("repro: unknown argument `{other}`");
+                std::process::exit(2);
+            }
         }
-    }
-    if wanted.iter().any(|w| w == "bench-serve") {
-        // Service measurement: ingest rate + query latency under load.
-        // Defaults to the small preset unless a scale flag was given.
-        if preset_name == "default" {
-            config = SimConfig::small();
-            preset_name = "small";
-        }
-        bench_serve::run(config, preset_name);
-        return;
-    }
-    if wanted.iter().any(|w| w == "bench-trace") {
-        // Throughput measurement: defaults to the small preset unless a
-        // scale flag was given explicitly.
-        if preset_name == "default" {
-            config = SimConfig::small();
-            preset_name = "small";
-        }
-        bench_trace::run(config, preset_name);
-        return;
-    }
-    if wanted.iter().any(|w| w == "bench-study") {
-        // Sweep-throughput measurement: with no explicit scale flag the
-        // full small + medium preset matrix runs; a scale flag restricts
-        // the matrix to that preset. `--iters N` controls the best-of-N
-        // repetition count (CI smoke uses 1).
-        let presets: Vec<(SimConfig, &str)> = if preset_name == "default" {
-            vec![(SimConfig::small(), "small"), (SimConfig::medium(), "medium")]
-        } else {
-            vec![(config, preset_name)]
-        };
-        let iters = wanted
-            .iter()
-            .position(|w| w == "--iters")
-            .and_then(|i| wanted.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(3)
-            .max(1);
-        bench_study::run(presets, iters, spill_dir.as_deref());
-        return;
-    }
-    if wanted.iter().any(|w| w == "bench-runner") {
-        // Throughput measurement, not a table: defaults to the small
-        // preset unless a scale flag was given explicitly.
-        if preset_name == "default" {
-            config = SimConfig::small();
-            preset_name = "small";
-        }
-        // Optional externally measured seed-runner wall time, e.g.
-        // `bench-runner --seed-secs 2.042`.
-        let seed_secs = wanted
-            .iter()
-            .position(|w| w == "--seed-secs")
-            .and_then(|i| wanted.get(i + 1))
-            .and_then(|v| v.parse::<f64>().ok());
-        bench_runner::run(config, preset_name, seed_secs);
-        return;
     }
     if wanted.is_empty() {
         wanted.push("all".to_string());
     }
     let all = wanted.iter().any(|w| w == "all");
-    let want = |name: &str| all || wanted.iter().any(|w| w == name);
+    let want = |name: &str| {
+        debug_assert!(accepts(name), "`{name}` missing from EXPERIMENTS");
+        all || wanted.iter().any(|w| w == name)
+    };
 
     eprintln!(
         "repro: simulating {} UEs × {} days (seed {})...",

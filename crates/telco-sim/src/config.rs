@@ -166,8 +166,8 @@ impl SimConfig {
     }
 
     /// Between [`SimConfig::small`] and the full study: enough records
-    /// (~1.1M) that the bench matrix's per-thread scaling curves measure
-    /// steady-state throughput rather than startup, while still finishing
+    /// (~1.1M) that a sweep measures steady-state throughput rather than
+    /// startup (perfbench's `reanalyze` sweeps it), while still finishing
     /// in tens of seconds single-threaded.
     pub fn medium() -> Self {
         SimConfig { n_ues: 8_000, n_days: 14, ..Self::small() }

@@ -112,8 +112,8 @@ pub struct SimOutput {
     /// Core-network message accounting (the probe view).
     pub core: CoreNetwork,
     /// How the runner produced this output (which scheduling path ran,
-    /// with how many threads and work items) — so throughput benchmarks
-    /// can assert they measured the path they meant to.
+    /// with how many threads and work items), so a test can assert which
+    /// path ran.
     pub runner: RunnerStats,
 }
 
@@ -127,15 +127,6 @@ impl SimOutput {
             core: CoreNetwork::new(),
             runner: RunnerStats::default(),
         }
-    }
-
-    /// Merge a shard's output (same span). The runner stats of `self` are
-    /// kept: scheduling metadata describes the whole run, not a shard.
-    pub fn merge(&mut self, other: SimOutput) {
-        self.dataset.merge(other.dataset);
-        self.mobility.extend(other.mobility);
-        self.ledger.merge(&other.ledger);
-        self.core.merge(&other.core);
     }
 }
 
@@ -173,24 +164,5 @@ mod tests {
     fn empty_ledger_shares_are_zero() {
         let l = RatLedger::default();
         assert_eq!(l.time_shares(), [0.0; 4]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = SimOutput::new(2);
-        let mut b = SimOutput::new(2);
-        b.ledger.add(Rat::G4, 10.0, 1.0, 2.0);
-        b.mobility.push(UeDayMobility {
-            ue: UeId(0),
-            day: 0,
-            sectors: 3,
-            gyration_km: 1.0,
-            hos: 2,
-            hofs: 1,
-            messages: 24,
-        });
-        a.merge(b);
-        assert_eq!(a.mobility.len(), 1);
-        assert_eq!(a.ledger.attach_ms[Rat::G4.index()], 10.0);
     }
 }

@@ -33,9 +33,8 @@ use crate::steal::{collect_runs, DayGate, StealCursor};
 use crate::world::World;
 
 /// Below this UE count the runner stays sequential: thread spawn and merge
-/// overhead dwarfs the work itself. Benchmarks check
-/// [`RunnerStats::mode`] so they never mistake this path for the parallel
-/// one.
+/// overhead dwarfs the work itself. [`RunnerStats::mode`] records which
+/// path ran, so a test can tell this path from the parallel one.
 pub const SEQUENTIAL_UE_THRESHOLD: usize = 64;
 
 /// Default UEs per work item. Small enough that the `(day, chunk)` grid
@@ -140,22 +139,7 @@ pub fn run_on_world_chunked(world: &World, config: &SimConfig, chunk_ues: usize)
     let ue_days = n_ues * n_days as usize;
 
     if threads <= 1 || n_ues < SEQUENTIAL_UE_THRESHOLD {
-        let mut out = SimOutput::new(n_days);
-        let mut scratch = SimScratch::new();
-        for day in 0..n_days {
-            for ue in 0..n_ues {
-                simulate_ue_day(world, config, UeId(ue as u32), day, &mut scratch, &mut out);
-            }
-        }
-        out.dataset.sort();
-        out.runner = RunnerStats {
-            mode: RunnerMode::Sequential,
-            threads: 1,
-            chunk_ues: n_ues.max(1),
-            work_items: n_days as usize,
-            ue_days,
-        };
-        return out;
+        return run_shard(world, config, 0..n_days, 0..n_ues);
     }
 
     // The flattened work-item space, day-major: item i covers day

@@ -1,7 +1,8 @@
-//! CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the checksum guarding v2
-//! and v3 chunk frames. Table-driven and dependency-free: the build
-//! environment vendors no checksum crate, and the codec only needs
-//! integrity detection, not cryptographic strength.
+//! CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the checksum guarding the
+//! trace format's chunk frames and trailer and every snapshot frame.
+//! Table-driven and dependency-free: the build environment vendors no
+//! checksum crate, and the codec only needs integrity detection, not
+//! cryptographic strength.
 //!
 //! The kernel is a *slice-by-16*: sixteen const-built 256-entry tables
 //! let one loop iteration fold 16 input bytes into the running state with
@@ -9,10 +10,9 @@
 //! classic one-lookup-per-byte Sarwate loop. The lookups of one iteration
 //! have no serial dependency on each other (only iteration-to-iteration
 //! through `crc`), so the CPU pipelines them; on commodity hardware this
-//! is worth roughly an order of magnitude over the per-byte loop, which
-//! is what closed the v2-write-throughput gap against v1
-//! (`BENCH_trace.json`). Same polynomial, same bit order, bit-identical
-//! checksums — every existing v1/v2 stream and golden stays valid.
+//! is worth roughly an order of magnitude over the per-byte loop. Same
+//! polynomial, same bit order and the same checksums as the per-byte loop,
+//! which the tests keep as the reference.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;

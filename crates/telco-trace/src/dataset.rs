@@ -104,16 +104,6 @@ impl SignalingDataset {
         self.records.len() as f64 / self.days as f64
     }
 
-    /// Merge another dataset (same day span) into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the day spans differ.
-    pub fn merge(&mut self, other: SignalingDataset) {
-        assert_eq!(self.days, other.days, "cannot merge datasets of different spans");
-        self.records.extend(other.records);
-    }
-
     /// Reserve room for `additional` more records.
     pub fn reserve(&mut self, additional: usize) {
         self.records.reserve(additional);
@@ -225,21 +215,6 @@ mod tests {
         let d = dataset();
         assert_eq!(d.of_ue(UeId(1)).count(), 2);
         assert_eq!(d.of_ue(UeId(9)).count(), 0);
-    }
-
-    #[test]
-    fn merge_same_span() {
-        let mut a = dataset();
-        let b = dataset();
-        a.merge(b);
-        assert_eq!(a.len(), 8);
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_rejects_span_mismatch() {
-        let mut a = dataset();
-        a.merge(SignalingDataset::new(7));
     }
 
     #[test]

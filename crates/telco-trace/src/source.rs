@@ -76,9 +76,9 @@ pub struct TraceSource {
     kind: SourceKind,
     sweeps: AtomicU64,
     /// Column batches served by the fast path ([`TraceSource::for_each_columns`]
-    /// and [`TraceSource::for_each_columns_in`]) — lets benchmarks assert
-    /// the columnar path was exercised rather than silently falling back
-    /// to rows.
+    /// and [`TraceSource::for_each_columns_in`]) — lets tests and the
+    /// benchmark assert the columnar path was exercised rather than
+    /// silently falling back to rows.
     column_batches: AtomicU64,
 }
 

@@ -59,7 +59,7 @@ pub const CHUNK_MAGIC: [u8; 4] = *b"CHNK";
 pub const TRAILER_MAGIC: [u8; 4] = *b"TEND";
 /// Bytes of a chunk frame header (magic + seq + count + payload_len +
 /// crc).
-pub const V3_FRAME_HEADER_BYTES: usize = 20;
+pub const FRAME_HEADER_BYTES: usize = 20;
 /// Upper bound on records per chunk (≈150 MB of payload). The writer
 /// splits larger chunks; the reader treats a larger declared count as
 /// corruption, which keeps a flipped count field from driving a giant
@@ -208,7 +208,7 @@ impl<W: Write> TraceWriter<W> {
     }
 
     fn put_frame(&mut self, count: u32, payload: &[u8], crc: u32) -> std::io::Result<()> {
-        let mut frame = Vec::with_capacity(V3_FRAME_HEADER_BYTES);
+        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES);
         frame.put_slice(&CHUNK_MAGIC);
         frame.put_u32(self.chunks);
         frame.put_u32(count);
@@ -266,7 +266,9 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Write a dataset to a trace file (one chunk per day).
+/// Write a dataset to a trace file (one chunk per day) in the current
+/// format, [`VERSION`]. The name predates v4 and stays because the
+/// repository benchmark (`perfbench/`) calls it.
 pub fn write_file_v3(dataset: &SignalingDataset, path: &Path) -> std::io::Result<()> {
     let mut w = TraceWriter::create(path, dataset.days)?;
     w.write_dataset(dataset)?;
@@ -943,7 +945,7 @@ mod tests {
         while bytes[at..at + 4] == CHUNK_MAGIC {
             frames.push(at);
             let len = u32::from_be_bytes(bytes[at + 12..at + 16].try_into().unwrap());
-            at += V3_FRAME_HEADER_BYTES + len as usize;
+            at += FRAME_HEADER_BYTES + len as usize;
         }
         frames
     }
@@ -970,7 +972,7 @@ mod tests {
         let mut bytes = encode(&d);
         // Flip a bit inside the second chunk's payload.
         let second = frame_offsets(&bytes)[1];
-        bytes[second + V3_FRAME_HEADER_BYTES + 7] ^= 0x10;
+        bytes[second + FRAME_HEADER_BYTES + 7] ^= 0x10;
         let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let back = reader.read_to_dataset();
         // Exactly day 1 went missing; days 0 and 2 survived.
@@ -1248,7 +1250,7 @@ mod tests {
             bytes[HEADER_BYTES + 14],
             bytes[HEADER_BYTES + 15],
         ]) as usize;
-        let payload_start = HEADER_BYTES + V3_FRAME_HEADER_BYTES;
+        let payload_start = HEADER_BYTES + FRAME_HEADER_BYTES;
         // Walk the column-group frames to the flags column (id 6) and
         // make record 0 a failure without a cause — an invalid record —
         // then fix the stored CRC.

@@ -10,6 +10,9 @@
 //! Figs. 6, 9 and 17, and the full-period frame) are derived from the
 //! finished frame through [`FromDailyFrame`], not counted again.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::marker::PhantomData;
 
 use serde::{Deserialize, Serialize};
@@ -311,55 +314,116 @@ impl SectorDayFrame {
 /// map.
 type CellGroup = [(u32, u32); HoType::ALL.len()];
 
+/// A closed day's touched groups as `(sector, group)`, ascending by
+/// sector.
+type DayCells = Vec<(u32, CellGroup)>;
+
+/// Whether any counter of a group is non-zero. The accumulator keeps
+/// only touched groups; a snapshot writes only them.
+#[inline]
+fn touched(group: &CellGroup) -> bool {
+    group.iter().any(|&(hos, hofs)| hos != 0 || hofs != 0)
+}
+
+fn add_group(into: &mut CellGroup, from: &CellGroup) {
+    for (mine, theirs) in into.iter_mut().zip(from) {
+        mine.0 += theirs.0;
+        mine.1 += theirs.1;
+    }
+}
+
+/// Two sector-sorted lists of one day as one, the groups of a sector
+/// both hold summed.
+fn merge_cells(a: DayCells, b: DayCells) -> DayCells {
+    if a.is_empty() {
+        return b;
+    }
+    if b.is_empty() {
+        return a;
+    }
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for (sector, mut group) in a {
+        while let Some(earlier) = b.next_if(|&(s, _)| s < sector) {
+            merged.push(earlier);
+        }
+        if let Some((_, theirs)) = b.next_if(|&(s, _)| s == sector) {
+            add_group(&mut group, &theirs);
+        }
+        merged.push((sector, group));
+    }
+    merged.extend(b);
+    merged
+}
+
+/// The packed spill key of a cell.
+fn spill_key(sector: u32, day: u32) -> u64 {
+    (u64::from(sector) << 32) | u64::from(day)
+}
+
 /// Streaming aggregation state of the §6.3 reshape: `(hos, hofs)` per
-/// `(source sector, day, HO type)`, independent of how many records flow
-/// through.
+/// `(source sector, day, HO type)`, sized by the groups the records
+/// touched, never by the `sector × day` grid.
 ///
-/// This is the hottest per-record loop in the analytics layer (a
-/// stream-to-frame aggregate is essentially this plus the codec), so
-/// the layout is chosen for one array or hash operation per record: a
-/// dense `sector × day` grid, and an [`FxHashMap`] keyed by the packed
-/// `sector << 32 | day` word for cells outside it, whose value carries
-/// all three per-type cells inline.
+/// This is the hottest per-record loop in the analytics layer, so the
+/// open day (the day of the latest in-grid record) counts into a
+/// per-sector slab: one array operation per record, plus one push onto
+/// the day's touched list when a sector's group is first hit. A record
+/// of another day closes the open day into its sector-sorted `(sector,
+/// group)` list, merge-adding when that day was closed before, so any
+/// record order counts right; a merge, a snapshot and `finish` see the
+/// open day too. Cells outside the grid (a sector `≥ n_sectors` or a
+/// day `≥ n_days`) go to an [`FxHashMap`] keyed by the packed `sector <<
+/// 32 | day` word. A grid cell lives in its day's list, in the slab while
+/// its day is open, or in both when that day reopened, and is then
+/// summed; a spill cell lives in the map alone.
 #[derive(Default)]
 pub(crate) struct FrameBuilder {
-    /// Dense-grid bounds: sector ids `< n_sectors` and days `< n_days`
-    /// index `dense` arithmetically; everything else (and every cell when
-    /// no grid was provisioned) goes through `spill`.
+    /// Grid bounds: cells with sector `< n_sectors` and day `< n_days`
+    /// are kept per day; everything else (and every cell when no grid was
+    /// set) goes through `spill`.
     n_sectors: u32,
     n_days: u32,
-    /// `sector * n_days + day` → per-type `(hos, hofs)` cells.
-    dense: Vec<CellGroup>,
-    /// `sector << 32 | day` → cells outside the dense grid.
+    /// The day `slab` counts. Only meaningful while `touched` is
+    /// non-empty; an open day with nothing touched is no day at all.
+    open_day: u32,
+    /// The open day's groups, indexed by sector. It grows with the
+    /// largest sector recorded (never past `n_sectors`) and is zeroed
+    /// cell by cell when the day closes, so it is reused across days.
+    slab: Vec<CellGroup>,
+    /// The sectors whose `slab` group the open day touched, in arrival
+    /// order. Its capacity is kept at `slab.len()`, and a sector is
+    /// pushed once per open day, so a push never reallocates.
+    touched: Vec<u32>,
+    /// Closed days → their touched groups.
+    days: BTreeMap<u32, DayCells>,
+    /// `sector << 32 | day` → cells outside the grid.
     spill: FxHashMap<u64, CellGroup>,
 }
 
 impl FrameBuilder {
-    /// A builder with a preallocated `n_sectors × n_days` grid so the hot
-    /// loop indexes arithmetically instead of hashing. The grid is the
-    /// whole topology × study period, so in practice every record lands
-    /// in it; `spill` only exists so ids outside the provisioned world
-    /// still aggregate identically.
-    pub(crate) fn with_grid(n_sectors: usize, n_days: u32) -> Self {
-        let n_days = n_days.max(1);
+    /// A builder over an `n_sectors × n_days` grid (at least one day).
+    /// It allocates nothing until records arrive.
+    pub(crate) fn new(n_sectors: usize, n_days: u32) -> Self {
         FrameBuilder {
-            n_sectors: n_sectors as u32,
-            n_days,
-            dense: vec![CellGroup::default(); n_sectors * n_days as usize],
-            spill: FxHashMap::default(),
+            n_sectors: u32::try_from(n_sectors).unwrap_or(u32::MAX),
+            n_days: n_days.max(1),
+            ..FrameBuilder::default()
         }
     }
 
+    // telco-lint: deny-alloc(begin)
     #[inline]
     fn cell_group(&mut self, sector: u32, day: u32) -> &mut CellGroup {
-        if sector < self.n_sectors && day < self.n_days {
-            let idx = sector as usize * self.n_days as usize + day as usize;
-            if let Some(group) = self.dense.get_mut(idx) {
-                return group;
+        let s = sector as usize;
+        if day == self.open_day && s < self.slab.len() {
+            let group = &mut self.slab[s];
+            if !touched(group) {
+                self.touched.push(sector); // telco-lint: allow(alloc): reserved to the slab's length, and a sector is pushed once per open day
             }
+            return group;
         }
-        let key = (u64::from(sector) << 32) | u64::from(day);
-        self.spill.entry(key).or_default()
+        self.cell_group_cold(sector, day)
     }
 
     #[inline]
@@ -387,38 +451,163 @@ impl FrameBuilder {
             cell.1 += u32::from(flags & FLAG_FAILURE != 0);
         }
     }
+    // telco-lint: deny-alloc(end)
+
+    /// The slow path of [`FrameBuilder::cell_group`]: a cell outside the
+    /// grid, a record of another day than the open one, or a sector past
+    /// the slab, which grows to cover it (at least doubling, capped at
+    /// the grid).
+    #[cold]
+    #[inline(never)]
+    fn cell_group_cold(&mut self, sector: u32, day: u32) -> &mut CellGroup {
+        if sector >= self.n_sectors || day >= self.n_days {
+            return self.spill.entry(spill_key(sector, day)).or_default();
+        }
+        if day != self.open_day {
+            self.close_day();
+            self.open_day = day;
+        }
+        let s = sector as usize;
+        if s >= self.slab.len() {
+            let len = (s + 1).max(2 * self.slab.len()).min(self.n_sectors as usize);
+            self.slab.resize(len, CellGroup::default());
+            self.touched.reserve(len - self.touched.len());
+        }
+        self.cell_group(sector, day)
+    }
+
+    /// The open day's touched groups, ascending by sector.
+    fn open_cells(&self) -> DayCells {
+        let mut sectors = self.touched.clone();
+        sectors.sort_unstable();
+        sectors.into_iter().map(|s| (s, self.slab[s as usize])).collect()
+    }
+
+    /// Move the open day's groups into its closed list and zero them in
+    /// the slab.
+    fn close_day(&mut self) {
+        if self.touched.is_empty() {
+            return;
+        }
+        self.touched.sort_unstable();
+        let cells = self.touched.iter().map(|&s| (s, std::mem::take(&mut self.slab[s as usize])));
+        let cells = cells.collect();
+        self.touched.clear();
+        self.add_day(self.open_day, cells);
+    }
+
+    /// Fold a sector-sorted list into day `day`: it becomes the day's
+    /// list, or is merge-added into the one already there.
+    fn add_day(&mut self, day: u32, cells: DayCells) {
+        let list = self.days.entry(day).or_default();
+        *list = merge_cells(std::mem::take(list), cells);
+    }
 
     // telco-lint: deny-nondeterminism(begin)
-    /// Fold another builder's cells into this one. Both stores hold
-    /// purely additive counters and the dense/spill split is a pure
-    /// function of (sector, day) shared by both sides, so the fold is
-    /// order-independent and a partitioned parallel sweep merges to the
-    /// sequential result.
-    pub(crate) fn merge(&mut self, other: FrameBuilder) {
-        debug_assert_eq!(self.dense.len(), other.dense.len(), "merging mismatched frame grids");
-        for (mine, theirs) in self.dense.iter_mut().zip(other.dense) {
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                m.0 += t.0;
-                m.1 += t.1;
+    /// Fold another builder's cells into this one, keyed by `(sector,
+    /// day)` against this builder's grid, so two builders whose grids
+    /// differ still count each cell where it belongs. Equal grids — every
+    /// sweep — move each closed day list whole and merge-add the one day
+    /// two adjacent spans share. All counters are additive, so the fold
+    /// is order-independent and a partitioned parallel sweep merges to
+    /// the sequential result.
+    pub(crate) fn merge(&mut self, mut other: FrameBuilder) {
+        self.close_day();
+        other.close_day();
+        // Cells of `other` that need routing one by one, as `(day,
+        // sector, group)`; they hold distinct keys, as every store does.
+        let mut strays: Vec<(u32, u32, CellGroup)> = Vec::new();
+        for (day, cells) in other.days {
+            let inside =
+                day < self.n_days && cells.last().is_some_and(|&(s, _)| s < self.n_sectors);
+            if inside {
+                self.add_day(day, cells);
+            } else {
+                strays.extend(cells.into_iter().map(|(sector, group)| (day, sector, group)));
             }
         }
-        for (k, v) in other.spill {
-            // telco-lint: allow(nondet): additive counter fold; visit order cannot affect sums
-            let group = self.spill.entry(k).or_default();
-            for (mine, theirs) in group.iter_mut().zip(v) {
-                mine.0 += theirs.0;
-                mine.1 += theirs.1;
+        // telco-lint: allow(nondet): collected, then sorted before any cell lands in a day list
+        strays.extend(
+            other.spill.into_iter().map(|(key, group)| (key as u32, (key >> 32) as u32, group)),
+        );
+        strays.sort_unstable_by_key(|&(day, sector, _)| (day, sector));
+        let mut inside: Vec<(u32, u32, CellGroup)> = Vec::new();
+        for (day, sector, group) in strays {
+            if sector >= self.n_sectors || day >= self.n_days {
+                add_group(self.spill.entry(spill_key(sector, day)).or_default(), &group);
+            } else if touched(&group) {
+                inside.push((day, sector, group));
             }
+        }
+        for run in inside.chunk_by(|a, b| a.0 == b.0) {
+            self.add_day(run[0].0, run.iter().map(|&(_, sector, group)| (sector, group)).collect());
         }
     }
     // telco-lint: deny-nondeterminism(end)
 
+    /// How many grid cells the accumulator holds: every closed group, and
+    /// every open one that does not reopen a closed group.
+    fn grid_cells(&self) -> usize {
+        let closed = self.days.get(&self.open_day);
+        let reopened = self.touched.iter().filter(|&&sector| {
+            closed.is_some_and(|cells| cells.binary_search_by_key(&sector, |&(s, _)| s).is_ok())
+        });
+        self.days.values().map(Vec::len).sum::<usize>() + self.touched.len() - reopened.count()
+    }
+
+    /// Visit every grid cell, the open day's included, as `(sector, day,
+    /// group)` in sector-major order: a k-way merge of the day lists by
+    /// sector, ties in day order. It reads each list once, front to back,
+    /// and holds nothing the size of the cells. The open day, when it
+    /// reopened a closed list, merges in after that list, and the two
+    /// groups of a sector there are summed.
+    fn for_each_sector_major(&self, mut visit: impl FnMut(u32, u32, &CellGroup)) {
+        let open = self.open_cells();
+        let mut sources: Vec<(u32, &[(u32, CellGroup)])> =
+            self.days.iter().map(|(&day, cells)| (day, cells.as_slice())).collect();
+        if !open.is_empty() {
+            let at = sources.partition_point(|&(day, _)| day <= self.open_day);
+            sources.insert(at, (self.open_day, &open));
+        }
+        // Each source's next sector; equal sectors pop in source order,
+        // which is day order.
+        let mut heads: BinaryHeap<Reverse<(u32, usize)>> = sources
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(_, cells))| Some(Reverse((cells.first()?.0, i))))
+            .collect();
+        let mut pending: Option<(u32, u32, CellGroup)> = None;
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((sector, i)) = *head;
+            let (day, cells) = &mut sources[i];
+            let Some((&(_, group), rest)) = cells.split_first() else { break };
+            *cells = rest;
+            match rest.first() {
+                Some(&(next, _)) => *head = Reverse((next, i)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+            match &mut pending {
+                Some((s, d, sum)) if (*s, *d) == (sector, *day) => add_group(sum, &group),
+                _ => {
+                    if let Some((s, d, sum)) = pending.replace((sector, *day, group)) {
+                        visit(s, d, &sum);
+                    }
+                }
+            }
+        }
+        if let Some((s, d, sum)) = pending {
+            visit(s, d, &sum);
+        }
+    }
+
     /// Encode the accumulator: the grid's bounds, then each touched
-    /// group (one with any non-zero counter) as its index gap from the
-    /// previous touched group (the first from 0) and its six counters,
-    /// then the spill cells in sorted key order. A day's fold touches
-    /// about 1% of a study's grid, so its snapshot follows what it
-    /// counted, and the bytes never depend on hash-insertion history.
+    /// group in sector-major order (index `sector × n_days + day`) as its
+    /// index gap from the previous touched group (the first from 0) and
+    /// its six counters, then the spill cells in sorted key order. The
+    /// bytes follow the touched groups and never depend on the order the
+    /// records arrived in or on hash-insertion history.
     pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
         let put_group = |w: &mut SnapWriter, group: &CellGroup| {
             for &(hos, hofs) in group {
@@ -426,16 +615,16 @@ impl FrameBuilder {
                 w.put_varint(u64::from(hofs));
             }
         };
-        let touched = |group: &CellGroup| group.iter().any(|&(hos, hofs)| hos != 0 || hofs != 0);
         w.put_u32(self.n_sectors);
         w.put_u32(self.n_days);
-        w.put_varint(self.dense.iter().filter(|group| touched(group)).count() as u64);
+        w.put_varint(self.grid_cells() as u64);
         let mut prev = 0;
-        for (idx, group) in self.dense.iter().enumerate().filter(|(_, group)| touched(group)) {
-            w.put_varint((idx - prev) as u64);
+        self.for_each_sector_major(|sector, day, group| {
+            let idx = u64::from(sector) * u64::from(self.n_days) + u64::from(day);
+            w.put_varint(idx - prev);
             put_group(w, group);
             prev = idx;
-        }
+        });
         let mut spill: Vec<(u64, CellGroup)> = self.spill.iter().map(|(&k, &v)| (k, v)).collect();
         spill.sort_unstable_by_key(|&(k, _)| k);
         w.put_varint(spill.len() as u64);
@@ -445,14 +634,17 @@ impl FrameBuilder {
         }
     }
 
-    /// Decode a snapshot into a zeroed `n_sectors × n_days` grid holding
-    /// the touched groups, and the spill map.
+    /// Decode a snapshot straight into closed day lists and the spill
+    /// map. The groups arrive in sector-major order, so each day's list
+    /// fills ascending by sector; nothing is allocated for the grid the
+    /// header names, only for the groups the payload holds.
     ///
     /// # Errors
     ///
-    /// [`SnapError::Malformed`] for a touched index that is not ascending,
-    /// overflows or lies past the grid, and for a counter past `u32`,
-    /// plus the reader's own errors.
+    /// [`SnapError::Malformed`] for a grid too large to index, a touched
+    /// index that is not ascending, overflows or lies past the grid, a
+    /// spill cell inside the grid, and a counter past `u32`, plus the
+    /// reader's own errors.
     pub(crate) fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let get_group = |r: &mut SnapReader| -> Result<CellGroup, SnapError> {
             let mut group = CellGroup::default();
@@ -464,45 +656,49 @@ impl FrameBuilder {
             }
             Ok(group)
         };
-        self.n_sectors = r.get_u32()?;
-        self.n_days = r.get_u32()?;
-        let cells = (self.n_sectors as usize)
-            .checked_mul(self.n_days as usize)
+        *self = FrameBuilder { n_sectors: r.get_u32()?, n_days: r.get_u32()?, ..Self::default() };
+        let (n_sectors, n_days) = (self.n_sectors as usize, self.n_days as usize);
+        // The gaps index the grid as one array of groups, so a header
+        // naming a grid no array could hold is malformed.
+        let cells = n_sectors
+            .checked_mul(n_days)
+            .filter(|&cells| std::alloc::Layout::array::<CellGroup>(cells).is_ok())
             .ok_or(SnapError::Malformed("frame grid size"))?;
-        // Ask the allocator for the grid first, so a header naming one it
-        // cannot provide is refused instead of aborting. Then take it
-        // zeroed, which leaves the untouched cells' pages unmapped, where
-        // filling a reservation would write every cell.
-        Vec::<CellGroup>::new()
-            .try_reserve_exact(cells)
-            .map_err(|_| SnapError::Malformed("frame grid size"))?;
-        self.dense = vec![CellGroup::default(); cells];
         let mut idx = 0usize;
         for i in 0..r.get_len()? {
             let gap = r.get_len()?;
             if i > 0 && gap == 0 {
                 return Err(SnapError::Malformed("frame groups not ascending"));
             }
-            idx = idx.checked_add(gap).ok_or(SnapError::Malformed("frame group past the grid"))?;
-            let slot =
-                self.dense.get_mut(idx).ok_or(SnapError::Malformed("frame group past the grid"))?;
-            *slot = get_group(r)?;
+            idx = idx
+                .checked_add(gap)
+                .filter(|&idx| idx < cells)
+                .ok_or(SnapError::Malformed("frame group past the grid"))?;
+            let group = get_group(r)?;
+            if touched(&group) {
+                let (sector, day) = ((idx / n_days) as u32, (idx % n_days) as u32);
+                self.days.entry(day).or_default().push((sector, group));
+            }
         }
         let n = r.get_len()?;
-        self.spill = FxHashMap::default();
         self.spill.reserve(n.min(r.remaining()));
         for _ in 0..n {
             let key = r.get_varint()?;
+            if key >> 32 < u64::from(self.n_sectors) && (key as u32) < self.n_days {
+                return Err(SnapError::Malformed("frame spill cell inside the grid"));
+            }
             self.spill.insert(key, get_group(r)?);
         }
         Ok(())
     }
 
     /// The daily frame: one observation per `(sector, day, type)` cell
-    /// with handovers, sorted by sector, day and type.
-    pub(crate) fn finish(self, world: &World) -> SectorDayFrame {
-        let FrameBuilder { n_days, dense, spill, .. } = self;
-        let mut observations: Vec<SectorDayObs> = Vec::with_capacity(spill.len());
+    /// with handovers, sorted by sector, day and type. The grid cells
+    /// come out of [`FrameBuilder::for_each_sector_major`] in that order
+    /// already; only spill cells need a sort to interleave.
+    pub(crate) fn finish(mut self, world: &World) -> SectorDayFrame {
+        self.close_day();
+        let mut observations: Vec<SectorDayObs> = Vec::new();
         let mut emit = |sector: u32, day: u32, group: &CellGroup| {
             let total: u32 = group.iter().map(|c| c.0).sum();
             if total == 0 {
@@ -530,17 +726,26 @@ impl FrameBuilder {
                 });
             }
         };
-        for (idx, group) in dense.iter().enumerate() {
-            let (sector, day) = (idx as u32 / n_days, idx as u32 % n_days);
-            emit(sector, day, group);
+        self.for_each_sector_major(&mut emit);
+        if !self.spill.is_empty() {
+            for (&key, group) in &self.spill {
+                emit((key >> 32) as u32, key as u32, group);
+            }
+            // A cell lives in exactly one store, so the keys are distinct.
+            observations.sort_unstable_by_key(|o| (o.sector.0, o.day, o.ho_type.index()));
         }
-        for (&key, group) in &spill {
-            emit((key >> 32) as u32, key as u32, group);
-        }
-        // A cell lives in exactly one store, so the sort canonicalizes the
-        // dense/spill interleaving without any dedup concern.
-        observations.sort_by_key(|o| (o.sector.0, o.day, o.ho_type.index()));
         SectorDayFrame { observations }
+    }
+
+    /// Heap bytes the accumulator holds (the day map's nodes aside).
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slab.capacity() * size_of::<CellGroup>()
+            + self.touched.capacity() * size_of::<u32>()
+            + self.days.values().map(|cells| cells.capacity()).sum::<usize>()
+                * size_of::<(u32, CellGroup)>()
+            + self.spill.capacity() * size_of::<(u64, CellGroup)>()
     }
 }
 
@@ -575,8 +780,7 @@ impl AnalysisPass for FramePass {
     type Output = SectorDayFrame;
 
     fn begin(&mut self, ctx: &SweepCtx) {
-        self.builder =
-            FrameBuilder::with_grid(ctx.world.topology.sectors().len(), ctx.config.n_days);
+        self.builder = FrameBuilder::new(ctx.world.topology.sectors().len(), ctx.config.n_days);
     }
 
     fn record(&mut self, r: &HoRecord, _e: &Enriched) {
@@ -684,6 +888,8 @@ mod tests {
     use super::*;
     use crate::sweep::Sweep;
     use telco_sim::{run_study, SimConfig, StudyData};
+    use telco_topology::rat::Rat;
+    use telco_trace::record::HoOutcome;
 
     fn study() -> StudyData {
         run_study(SimConfig::tiny())
@@ -772,23 +978,102 @@ mod tests {
         let mut restored = FramePass::default();
         crate::sweep::restore_pass(&mut restored, &bytes).unwrap();
         assert_eq!(crate::sweep::snapshot_pass(&restored), bytes);
+        // The restored partial holds its touched groups, not the grid.
+        let group_bytes = std::mem::size_of::<(u32, CellGroup)>();
+        let grid_bytes = s.world.topology.sectors().len() * 28 * std::mem::size_of::<CellGroup>();
+        let heap = restored.builder.heap_bytes();
+        assert!(
+            heap <= 2 * group_bytes * touched.len().max(4),
+            "{heap} B on the heap for {} touched groups of a {grid_bytes} B grid",
+            touched.len()
+        );
         assert_eq!(restored.end(&ctx).observations(), pass.end(&ctx).observations());
     }
 
+    #[test]
+    fn merging_a_smaller_grid_keys_cells_by_sector_and_day() {
+        let s = study();
+        let mut config = s.config.clone();
+        config.n_days = 3;
+        let ctx = SweepCtx { world: &s.world, config: &config };
+        // A daily frame whose header names a one-day grid over the
+        // world's sectors, holding one handover of sector 5 on day 0.
+        let mut w = SnapWriter::new();
+        w.put_u8(0);
+        w.put_u32(s.world.topology.sectors().len() as u32);
+        w.put_u32(1);
+        w.put_varint(1);
+        w.put_varint(5);
+        for counter in [1, 0, 0, 0, 0, 0] {
+            w.put_varint(counter);
+        }
+        w.put_varint(0);
+        let bytes = telco_trace::snap::encode_frame(FramePass::SNAPSHOT_VERSION, &w.into_bytes());
+        let mut restored = FramePass::default();
+        crate::sweep::restore_pass(&mut restored, &bytes).unwrap();
+        let mut pass = FramePass::new(FrameWindow::Daily);
+        pass.begin(&ctx);
+        pass.merge(restored, &ctx);
+        let cells: Vec<(u32, u32, u32)> =
+            pass.end(&ctx).observations().iter().map(|o| (o.sector.0, o.day, o.hos)).collect();
+        assert_eq!(cells, [(5, 0, 1)]);
+    }
+
+    /// A builder's grid cells in sector-major order.
+    fn grid_of(builder: &FrameBuilder) -> Vec<(u32, u32, CellGroup)> {
+        let mut cells = Vec::new();
+        builder.for_each_sector_major(|sector, day, group| cells.push((sector, day, *group)));
+        cells
+    }
+
+    #[test]
+    fn merging_a_larger_grid_spills_the_cells_past_this_one() {
+        let one = [(1, 0), (0, 0), (0, 0)];
+        // A successful intra 4G/5G handover.
+        let record = |sector: u32, day: u64| HoRecord {
+            timestamp_ms: day * 86_400_000,
+            ue: UeId(0),
+            source_sector: SectorId(sector),
+            target_sector: SectorId(0),
+            source_rat: Rat::G4,
+            target_rat: Rat::G4,
+            outcome: HoOutcome::Success,
+            cause: None,
+            duration_ms: 40,
+            srvcc: false,
+            messages: 6,
+        };
+        let mut small = FrameBuilder::new(6, 1);
+        small.add(&record(5, 0));
+        let mut large = FrameBuilder::new(10, 3);
+        for (sector, day) in [(5, 0), (2, 0), (7, 0), (5, 2)] {
+            large.add(&record(sector, day));
+        }
+        small.merge(large);
+        let mut doubled = one;
+        add_group(&mut doubled, &one);
+        assert_eq!(grid_of(&small), [(2, 0, one), (5, 0, doubled)]);
+        let mut spill: Vec<_> = small.spill.into_iter().collect();
+        spill.sort_unstable();
+        assert_eq!(spill, [(spill_key(5, 2), one), (spill_key(7, 0), one)]);
+    }
+
     /// A `FrameBuilder` payload over a 2 × 3 grid whose touched groups
-    /// sit at the given index gaps, each holding one handover.
-    fn grid_payload(gaps: &[u64]) -> Vec<u8> {
+    /// sit at the given index gaps, and whose spill cells at the given
+    /// keys, each holding one handover.
+    fn grid_payload(gaps: &[u64], spill: &[u64]) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.put_u32(2);
         w.put_u32(3);
-        w.put_varint(gaps.len() as u64);
-        for &gap in gaps {
-            w.put_varint(gap);
-            for counter in [1, 0, 0, 0, 0, 0] {
-                w.put_varint(counter);
+        for (count, varints) in [(gaps.len(), gaps), (spill.len(), spill)] {
+            w.put_varint(count as u64);
+            for &varint in varints {
+                w.put_varint(varint);
+                for counter in [1, 0, 0, 0, 0, 0] {
+                    w.put_varint(counter);
+                }
             }
         }
-        w.put_varint(0);
         w.into_bytes()
     }
 
@@ -802,16 +1087,23 @@ mod tests {
 
     #[test]
     fn restore_refuses_groups_off_the_grid() {
-        let builder = restore_builder(&grid_payload(&[0, 5])).unwrap();
-        assert_eq!(builder.dense.len(), 6);
-        assert_eq!(builder.dense[5][0], (1, 0));
+        let one = [(1, 0), (0, 0), (0, 0)];
+        let builder = restore_builder(&grid_payload(&[0, 5], &[3 << 32])).unwrap();
+        // Index 5 of the 2 × 3 grid is sector 1, day 2; the spill cell is
+        // sector 3, day 0.
+        assert_eq!(grid_of(&builder), [(0, 0, one), (1, 2, one)]);
+        assert_eq!(builder.spill.get(&(3 << 32)), Some(&one));
         let past = Some(SnapError::Malformed("frame group past the grid"));
-        assert_eq!(restore_builder(&grid_payload(&[6])).err(), past);
-        assert_eq!(restore_builder(&grid_payload(&[3, 3])).err(), past);
-        assert_eq!(restore_builder(&grid_payload(&[1, u64::MAX])).err(), past);
+        assert_eq!(restore_builder(&grid_payload(&[6], &[])).err(), past);
+        assert_eq!(restore_builder(&grid_payload(&[3, 3], &[])).err(), past);
+        assert_eq!(restore_builder(&grid_payload(&[1, u64::MAX], &[])).err(), past);
         assert_eq!(
-            restore_builder(&grid_payload(&[2, 0])).err(),
+            restore_builder(&grid_payload(&[2, 0], &[])).err(),
             Some(SnapError::Malformed("frame groups not ascending"))
+        );
+        assert_eq!(
+            restore_builder(&grid_payload(&[], &[(1 << 32) | 2])).err(),
+            Some(SnapError::Malformed("frame spill cell inside the grid"))
         );
     }
 

@@ -18,6 +18,7 @@
 //! from the daily frame hold and snapshot only the frame's state, so the
 //! frame cases cover them.
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -37,7 +38,9 @@ use telco_signaling::causes::CauseCode;
 use telco_sim::{SimConfig, World};
 use telco_topology::elements::SectorId;
 use telco_topology::rat::Rat;
+use telco_trace::columnar::ColumnBatch;
 use telco_trace::record::{HoOutcome, HoRecord};
+use telco_trace::snap::{encode_frame, SnapWriter};
 
 /// One tiny world shared by every case: passes join records against the
 /// topology and UE catalog, so record ids must name real entities.
@@ -246,3 +249,143 @@ snapshot_case!(
     study_composite_merge_after_restore,
     StudyPasses::default
 );
+
+/// The daily frame's snapshot as a `BTreeMap` per-cell count encodes it:
+/// the window tag, the grid's bounds, each touched grid cell as its
+/// sector-major index gap and six counters, then the spill cells (a
+/// sector or day past the grid) by packed key.
+fn frame_oracle(records: &[HoRecord], n_sectors: u32, n_days: u32) -> Vec<u8> {
+    let mut grid: BTreeMap<u64, [(u32, u32); 3]> = BTreeMap::new();
+    let mut spill: BTreeMap<u64, [(u32, u32); 3]> = BTreeMap::new();
+    for r in records {
+        let (sector, day) = (r.source_sector.0, r.day());
+        let group = if sector < n_sectors && day < n_days {
+            grid.entry(u64::from(sector) * u64::from(n_days) + u64::from(day))
+        } else {
+            spill.entry((u64::from(sector) << 32) | u64::from(day))
+        }
+        .or_default();
+        let cell = &mut group[r.ho_type().index()];
+        cell.0 += 1;
+        cell.1 += u32::from(r.is_failure());
+    }
+    let put_group = |w: &mut SnapWriter, group: &[(u32, u32); 3]| {
+        for &(hos, hofs) in group {
+            w.put_varint(u64::from(hos));
+            w.put_varint(u64::from(hofs));
+        }
+    };
+    let mut w = SnapWriter::new();
+    w.put_u8(0);
+    w.put_u32(n_sectors);
+    w.put_u32(n_days);
+    w.put_varint(grid.len() as u64);
+    let mut prev = 0;
+    for (&idx, group) in &grid {
+        w.put_varint(idx - prev);
+        put_group(&mut w, group);
+        prev = idx;
+    }
+    w.put_varint(spill.len() as u64);
+    for (&key, group) in &spill {
+        w.put_varint(key);
+        put_group(&mut w, group);
+    }
+    encode_frame(FramePass::SNAPSHOT_VERSION, &w.into_bytes())
+}
+
+/// The pieces of `len` records between the given cut points (each taken
+/// modulo `len + 1`).
+fn pieces(len: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|&cut| cut % (len + 1)).collect();
+    bounds.extend([0, len]);
+    bounds.sort_unstable();
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
+/// A begun daily frame fed `records` in pieces cut at `cuts`,
+/// alternately one `record` at a time and as one column batch.
+fn fed_frame(
+    ctx: &SweepCtx,
+    enriched: &Enriched,
+    records: &[HoRecord],
+    cuts: &[usize],
+) -> FramePass {
+    let mut pass = FramePass::new(FrameWindow::Daily);
+    pass.begin(ctx);
+    for (i, piece) in pieces(records.len(), cuts).into_iter().enumerate() {
+        let piece = &records[piece];
+        if i % 2 == 0 {
+            for r in piece {
+                pass.record(r, enriched);
+            }
+        } else {
+            let mut batch = ColumnBatch::new();
+            batch.extend_from_rows(piece);
+            pass.record_columns(&batch, enriched);
+        }
+    }
+    pass
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn frame_counts_every_cell_once_in_any_order_and_bracketing(
+        records in proptest::collection::vec((arb_record(), 0u32..8, 0u64..5), 0..300),
+        feed_cuts in proptest::collection::vec(0usize..300, 0..6),
+        partial_cuts in proptest::collection::vec(0usize..300, 0..4),
+    ) {
+        let (world, config) = world();
+        let ctx = SweepCtx { world, config };
+        let enriched = Enriched::new(world);
+        let n_sectors = world.topology.sectors().len() as u32;
+        // Unsorted, on days 0..5 of a 3-day grid. One record in eight
+        // lies past the grid's sectors; three in eight share a few
+        // sectors, so partials and reopened days hold the same cells.
+        let records: Vec<HoRecord> = records
+            .into_iter()
+            .map(|(mut r, pick, day)| {
+                let raw = r.source_sector.0;
+                r.source_sector = SectorId(match pick {
+                    0 => n_sectors + raw % 8,
+                    1..=3 => raw % 8,
+                    _ => raw % n_sectors,
+                });
+                r.timestamp_ms = r.timestamp_ms % 86_400_000 + day * 86_400_000;
+                r
+            })
+            .collect();
+        let oracle = frame_oracle(&records, n_sectors, config.n_days);
+        let partials = pieces(records.len(), &partial_cuts);
+        let fed = |piece: &std::ops::Range<usize>| {
+            fed_frame(&ctx, &enriched, &records[piece.clone()], &feed_cuts)
+        };
+
+        let left = partials
+            .iter()
+            .map(fed)
+            .reduce(|mut earlier, later| {
+                earlier.merge(later, &ctx);
+                earlier
+            })
+            .expect("at least one partial");
+        prop_assert_eq!(snapshot_pass(&left), oracle.clone());
+
+        let right = partials
+            .iter()
+            .map(|piece| {
+                let mut restored = FramePass::default();
+                restore_pass(&mut restored, &snapshot_pass(&fed(piece))).expect("partial restores");
+                restored
+            })
+            .rev()
+            .reduce(|later, mut earlier| {
+                earlier.merge(later, &ctx);
+                earlier
+            })
+            .expect("at least one partial");
+        prop_assert_eq!(snapshot_pass(&right), oracle);
+    }
+}
